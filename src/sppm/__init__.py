@@ -22,7 +22,6 @@ from .driver import (
     total_samples,
 )
 from .errors import (
-    CapabilityError,
     ConfigError,
     DomainError,
     InfeasibleScheduleError,

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .booster import PbConfig, pb, q_floor, tau_from_eps
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from .problems import CompositeProblem, GradientSampler, evaluate_phi, supports_rows
 from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run, pss_run_batch
 from .regularizers import prox_map
@@ -236,8 +236,10 @@ def sppm_run(
     own substream ("pss", j).  Problems with row oracles advance all n
     candidates in one vectorized recursion; otherwise candidate_workers
     > 1 runs the solves on a thread pool, and since results assemble in
-    index order the record never depends on scheduling.  On failure the
-    partial record is attached to the exception as exc.partial_record.
+    index order the record never depends on scheduling.  A non-finite
+    z or w from the inner solves raises NumericError naming the outer
+    step and the first bad candidate.  On failure the partial record is
+    attached to the exception as exc.partial_record.
     """
     z0 = np.asarray(z0, dtype=float)
     if not problem.h.contains(z0):
@@ -264,6 +266,10 @@ def sppm_run(
                     pairs = list(pool.map(solve, range(n)))
             else:
                 pairs = [solve(j) for j in range(n)]
+            finite = np.isfinite(np.array([p.z for p in pairs] + [p.w for p in pairs])).all(axis=1)
+            if not finite.all():
+                bad = int(np.argmin(finite[:n] & finite[n:]))
+                raise NumericError(f"outer step {k}: candidate {bad} produced a non-finite iterate")
             outcome = pb(
                 pairs,
                 PbConfig(q=schedule.rge_batch, lam=schedule.lam, n=n, z_bar=z),

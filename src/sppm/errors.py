@@ -14,11 +14,8 @@ class ConfigError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """An iterative solve exhausted its budget without reaching tolerance."""
-
-
-class CapabilityError(RuntimeError):
-    """A requested operation is not supported by this problem or build."""
+    """An iterative solve exhausted its budget without reaching tolerance,
+    or a stochastic solve produced a non-finite iterate."""
 
 
 class InfeasibleScheduleError(RuntimeError):

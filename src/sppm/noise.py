@@ -36,11 +36,15 @@ class NoiseModel:
         """(count, dim) array of independent noise vectors."""
         if self.sigma == 0.0:
             return np.zeros((count, dim))
+        # Scaling in place keeps a draw's footprint at one array.
         if self.family == "gaussian":
-            return gen.standard_normal((count, dim)) * (self.sigma / np.sqrt(dim))
+            v = gen.standard_normal((count, dim))
+            v *= self.sigma / np.sqrt(dim)
+            return v
         if self.family == "student_t":
-            scale = self.sigma * np.sqrt((self.nu - 2.0) / (self.nu * dim))
-            return gen.standard_t(self.nu, size=(count, dim)) * scale
+            v = gen.standard_t(self.nu, size=(count, dim))
+            v *= self.sigma * np.sqrt((self.nu - 2.0) / (self.nu * dim))
+            return v
         if self.family == "rademacher":
             signs = gen.integers(0, 2, size=(count, dim)) * 2 - 1
             return signs * (self.sigma / np.sqrt(dim))

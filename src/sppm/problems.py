@@ -2,11 +2,13 @@
 
 f is mu-strongly convex with L-Lipschitz gradient, h is a regularizer
 with a cheap prox, and dom h has finite diameter.  Stochastic access
-goes through sample_gradient_batch, the one primitive every solver
-draws from; the noise argument is either an additive NoiseModel or a
-FiniteSumOracle that samples component gradients.  exact_prox_point is
-the deterministic reference solve used for ground truth, never inside
-the stochastic path.
+goes through sample_gradient_batch (a batch of samples at one point)
+and through GradientSampler and RowSampler, which plan the samples of
+sequential solver steps in chunks of at most PLAN_VALUES values; the
+noise argument is either an additive NoiseModel or a FiniteSumOracle
+that samples component gradients.  exact_prox_point is the
+deterministic reference solve used for ground truth, never inside the
+stochastic path.
 """
 
 from __future__ import annotations
@@ -120,47 +122,100 @@ def sample_gradient(problem: CompositeProblem, noise, x: np.ndarray, stream: Rng
     return sample_gradient_batch(problem, noise, x, 1, stream)[0]
 
 
-class GradientSampler:
-    """Plans the stochastic part of `count` sequential gradient samples
-    up front on one substream.
+# Plans stream through buffers of at most this many values (1 MiB of
+# float64), so a sampler's memory does not grow with the number of
+# steps it plans.
+PLAN_VALUES = 1 << 17
 
-    Additive noise vectors and finite-sum component indices do not
-    depend on the query point, so drawing them in a single vectorized
-    pass is distributionally identical to drawing one per step, and it
-    pays one generator setup per solver run instead of one per sample.
-    Query points come from prox outputs inside the solvers, so this
-    path skips the domain check that sample_gradient performs.
+
+class _ChunkedPlan:
+    """The stochastic part of `count` sequential steps on each of
+    `streams`: additive noise rows, or finite-sum component indices.
+
+    Steps are drawn in chunks into one reused step-major buffer of shape
+    (chunk, len(streams), dim), or (chunk, len(streams)) for indices,
+    holding at most PLAN_VALUES values (one step at least).  Each stream
+    keeps its own generator between chunks, so the values are
+    bit-identical to drawing all `count` steps at once, and the last
+    chunk draws exactly the remainder.  Steps must be read in order
+    0, 1, 2, ...; chunks are drawn on the reading thread.
     """
 
-    __slots__ = ("_problem", "_noise_rows", "_indices", "_grad", "_component", "count")
+    __slots__ = ("buffer", "start", "stop", "_count", "_streams", "_gens", "_draw")
+
+    def __init__(self, noise, count: int, streams, dim: int):
+        n = len(streams)
+        if isinstance(noise, FiniteSumOracle):
+            chunk = max(1, min(count, PLAN_VALUES // n))
+            self.buffer = np.empty((chunk, n), dtype=np.int64)
+            self._draw = lambda gen, m: gen.integers(0, noise.count, size=m)
+        else:
+            chunk = max(1, min(count, PLAN_VALUES // (n * dim)))
+            self.buffer = np.empty((chunk, n, dim))
+            self._draw = lambda gen, m: noise.draw(gen, m, dim)
+        self._count = count
+        self._streams = streams
+        # A one-chunk plan draws on the cheap thread-shared generator;
+        # longer plans hold an independent generator per stream.
+        self._gens = None if chunk == count else [s.generator(shared=False) for s in streams]
+        self.start = self.stop = 0
+        self.advance(0)
+
+    def advance(self, i: int) -> None:
+        """Draw the chunk that begins at step i, the step after the last one drawn."""
+        if i != self.stop or i >= self._count:
+            raise ValidationError(
+                f"plan of {self._count} steps is read in order: step {i} requested "
+                f"while steps {self.start}..{self.stop - 1} are drawn"
+            )
+        m = min(len(self.buffer), self._count - i)
+        out = self.buffer[:m]
+        for j, s in enumerate(self._streams):
+            out[:, j] = self._draw(s.generator() if self._gens is None else self._gens[j], m)
+        self.start, self.stop = i, i + m
+
+
+class GradientSampler:
+    """Plans the stochastic part of `count` sequential gradient samples
+    on one substream.
+
+    Additive noise vectors and finite-sum component indices do not
+    depend on the query point, so they are drawn ahead in vectorized
+    chunks (see _ChunkedPlan); that is distributionally identical to
+    drawing one per step, and it pays one generator setup per solver
+    run instead of one per sample.  sample(i, x) must be called with
+    i = 0, 1, 2, ....  Query points come from prox outputs inside the
+    solvers, so this path skips the domain check that sample_gradient
+    performs.
+    """
+
+    __slots__ = ("_problem", "_noise_rows", "_indices", "_grad", "_component", "_plan", "count")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, stream: RngStream):
         if count < 1:
             raise ValidationError(f"sample count must be >= 1, got {count}")
-        gen = stream.generator()
         self._problem = problem
         self._grad = problem.grad_f
         self.count = count
+        self._noise_rows = self._indices = self._component = self._plan = None
         if isinstance(noise, FiniteSumOracle):
-            self._indices = gen.integers(0, noise.count, size=count)
             self._component = noise.component_grad
-            self._noise_rows = None
-        else:
-            self._indices = None
-            self._component = None
-            if noise.sigma == 0.0:
-                self._noise_rows = None
-            else:
-                self._noise_rows = noise.draw(gen, count, problem.dim)
+            self._plan = _ChunkedPlan(noise, count, [stream], problem.dim)
+            self._indices = self._plan.buffer
+        elif noise.sigma != 0.0:
+            self._plan = _ChunkedPlan(noise, count, [stream], problem.dim)
+            self._noise_rows = self._plan.buffer
 
     def sample(self, i: int, x: np.ndarray) -> np.ndarray:
         """i-th planned gradient sample, evaluated at x."""
+        plan = self._plan
+        if plan is None:
+            return self._grad(x)
+        if not plan.start <= i < plan.stop:
+            plan.advance(i)
         if self._indices is not None:
-            return self._component(x, self._indices[i : i + 1])[0]
-        g = self._grad(x)
-        if self._noise_rows is None:
-            return g
-        return g + self._noise_rows[i]
+            return self._component(x, self._indices[i - plan.start])[0]
+        return self._grad(x) + self._noise_rows[i - plan.start, 0]
 
 
 def supports_rows(problem: CompositeProblem, noise) -> bool:
@@ -178,39 +233,36 @@ class RowSampler:
 
     Candidate j's plan is drawn on streams[j] exactly as GradientSampler
     would draw it, so per-candidate values do not depend on whether the
-    candidates run batched or one at a time.  sample_rows(i, X) returns
-    the i-th sample of every candidate, evaluated row-wise at X.
+    candidates run batched or one at a time.  Plans stream through one
+    step-major buffer of at most PLAN_VALUES values (see _ChunkedPlan).
+    sample_rows(i, X) returns the i-th sample of every candidate,
+    evaluated row-wise at X, and must be called with i = 0, 1, 2, ....
     """
 
-    __slots__ = ("_grad_rows", "_component_rows", "_noise", "_indices")
+    __slots__ = ("_grad_rows", "_component_rows", "_noise", "_indices", "_plan")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, streams):
         if not supports_rows(problem, noise):
             raise ValidationError("problem lacks row-vectorized oracles")
         self._grad_rows = problem.grad_rows
+        self._component_rows = self._noise = self._indices = self._plan = None
         if isinstance(noise, FiniteSumOracle):
             self._component_rows = noise.component_grad_rows
-            self._indices = np.stack(
-                [s.generator().integers(0, noise.count, size=count) for s in streams]
-            )
-            self._noise = None
-        else:
-            self._component_rows = None
-            self._indices = None
-            if noise.sigma == 0.0:
-                self._noise = None
-            else:
-                self._noise = np.stack(
-                    [noise.draw(s.generator(), count, problem.dim) for s in streams]
-                )
+            self._plan = _ChunkedPlan(noise, count, streams, problem.dim)
+            self._indices = self._plan.buffer
+        elif noise.sigma != 0.0:
+            self._plan = _ChunkedPlan(noise, count, streams, problem.dim)
+            self._noise = self._plan.buffer
 
     def sample_rows(self, i: int, X: np.ndarray) -> np.ndarray:
+        plan = self._plan
+        if plan is None:
+            return self._grad_rows(X)
+        if not plan.start <= i < plan.stop:
+            plan.advance(i)
         if self._indices is not None:
-            return self._component_rows(X, self._indices[:, i])
-        G = self._grad_rows(X)
-        if self._noise is None:
-            return G
-        return G + self._noise[:, i, :]
+            return self._component_rows(X, self._indices[i - plan.start])
+        return self._grad_rows(X) + self._noise[i - plan.start]
 
 
 def minimize_composite(

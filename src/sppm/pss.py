@@ -84,9 +84,10 @@ def pss_run(
 ) -> CandidatePair:
     """Run the inner solver; consumes exactly inner_iters + 1 samples.
 
-    The stochastic part of all I+1 samples is planned in one vectorized
-    draw on substream ("noise"), so replays and outer parallelism never
-    perturb the values and the per-step cost stays arithmetic-only.
+    The stochastic part of the I+1 samples is drawn ahead on substream
+    ("noise") in chunks of at most PLAN_VALUES values, so replays and
+    outer parallelism never perturb the values, memory does not grow
+    with I, and the per-step cost stays arithmetic-only.
     observer(i, s, S, x, y), if given, sees each step (used by the
     invariant tests).
     """

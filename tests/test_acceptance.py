@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from sppm.config import ProblemSpec, parse_config
 from sppm.driver import derive_schedule, sppm_run, total_samples
@@ -73,6 +74,7 @@ def test_criterion_04_gradient_estimator_concentration():
     _report("criterion 04", elapsed, 60, details)
 
 
+@pytest.mark.slow
 def test_criterion_05_boosted_selection_guarantee():
     start = time.perf_counter()
     ok, details = check_pb_boost(trials=500, n=288, tau=5e-4)
@@ -82,6 +84,7 @@ def test_criterion_05_boosted_selection_guarantee():
     _report("criterion 05", elapsed, 180, details)
 
 
+@pytest.mark.slow
 def test_criterion_06_heavy_tail_benchmark():
     # target is relative to the instance's cold start, so build the
     # instance first and interpolate the figure into the config

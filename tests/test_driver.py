@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sppm import problems
+from sppm.config import load_config
 from sppm.driver import (
     RunRecord,
     Schedule,
@@ -12,11 +16,14 @@ from sppm.driver import (
     sppm_run,
     total_samples,
 )
-from sppm.errors import ValidationError
+from sppm.errors import NumericError, ValidationError
+from sppm.harness import build_noise, build_problem, build_schedule, initial_iterate
 from sppm.noise import NoiseModel
 from sppm.problems import evaluate_phi
 from sppm.pss import alpha_floor
 from sppm.rng import RngStream
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_outer_count_frozen():
@@ -134,6 +141,41 @@ def test_sppm_run_replay_and_worker_independence(ball_problem):
         for (z1, w1), (z2, w2) in zip(one.iterates, two.iterates):
             assert np.array_equal(z1, z2)
             assert np.array_equal(w1, w2)
+
+
+def test_sppm_run_independent_of_plan_chunking(monkeypatch, ball_problem, counting_noise):
+    s = small_schedule(ball_problem)
+    z0 = ball_problem.h.interior_point(ball_problem.dim)
+    want = sppm_run(ball_problem, counting_noise.inner, s, z0, RngStream(66))
+    # 5 candidates in 6 dims: one-step chunks of 30 values
+    monkeypatch.setattr(problems, "PLAN_VALUES", 31)
+    got = sppm_run(ball_problem, counting_noise, s, z0, RngStream(66))
+    assert counting_noise.draws == got.total_samples == want.total_samples
+    for (z1, w1), (z2, w2) in zip(want.iterates, got.iterates):
+        assert np.array_equal(z1, z2)
+        assert np.array_equal(w1, w2)
+
+
+def test_non_finite_gradient_raises_at_its_outer_step():
+    cfg = load_config(str(CONFIGS / "quadratic_gaussian.cfg"))
+    problem = build_problem(cfg)
+    schedule = build_schedule(cfg, problem)
+    assert schedule.inner_iters == 40  # 41 grad_rows calls per outer step
+    calls = 0
+
+    def grad_rows(X):
+        nonlocal calls
+        calls += 1
+        G = problem.grad_rows(X)
+        if calls == 50:  # outer step 2
+            G[3, 1] = np.nan
+        return G
+
+    planted = replace(problem, grad_rows=grad_rows)
+    with pytest.raises(NumericError, match="outer step 2: candidate 3") as err:
+        sppm_run(planted, build_noise(cfg, problem), schedule, initial_iterate(problem),
+                 RngStream(cfg.run.master_seed))
+    assert len(err.value.partial_record.iterates) == 1
 
 
 def test_sppm_run_noiseless_converges(ball_problem):

@@ -41,8 +41,50 @@ run.trials = 4
 """
 
 
-def small_cfg(**edits) -> ExperimentConfig:
-    text = SMALL
+# Replay configs beyond Gaussian quadratics: a finite-sum oracle and a
+# logistic loss under sphere noise.
+FINITE_SUM = """\
+problem.kind = ridge-l1-box
+problem.dim = 5
+problem.mu = 1.0
+problem.L = 3.0
+problem.box_halfwidth = 1.0
+problem.components = 40
+problem.instance_seed = 11
+noise.family = finite_sum
+noise.sigma = 0.0
+algo.auto.eps = 0.5
+algo.auto.p = 0.1
+algo.mode = practical
+algo.inner_iters = 30
+algo.candidates = 5
+algo.outer_iters = 2
+run.master_seed = 9
+run.trials = 4
+"""
+
+LOGREG = """\
+problem.kind = logreg-ridge-ball
+problem.dim = 4
+problem.mu = 0.5
+problem.L = 2.0
+problem.radius = 1.0
+problem.components = 60
+problem.instance_seed = 13
+noise.family = sphere
+noise.sigma = 0.5
+algo.auto.eps = 0.5
+algo.auto.p = 0.1
+algo.mode = practical
+algo.inner_iters = 25
+algo.candidates = 4
+algo.outer_iters = 2
+run.master_seed = 10
+run.trials = 4
+"""
+
+
+def small_cfg(text=SMALL, **edits) -> ExperimentConfig:
     for key, val in edits.items():
         text = "".join(
             line if not line.startswith(key + " ") else f"{key} = {val}\n"
@@ -107,14 +149,20 @@ def test_noiseless_trials_never_fail():
     assert report.failure_rate == 0.0
 
 
-def test_reports_identical_across_parallelism_and_reruns():
+def test_reports_identical_across_parallelism_and_reruns(monkeypatch):
+    from sppm import problems
     from sppm.harness import report_to_dict
 
-    base = report_to_dict(run_trials(small_cfg()))
-    rerun = report_to_dict(run_trials(small_cfg()))
-    par = report_to_dict(run_trials(small_cfg(**{"run.parallelism": 4})))
-    assert strip_wall(base) == strip_wall(rerun)
-    assert strip_wall(base) == strip_wall(par)
+    for text in (SMALL, FINITE_SUM, LOGREG):
+        base = report_to_dict(run_trials(small_cfg(text)))
+        rerun = report_to_dict(run_trials(small_cfg(text)))
+        with monkeypatch.context() as m:
+            if text is FINITE_SUM:
+                # 13 values: 2-step chunks, so multi-chunk plans run on the pool
+                m.setattr(problems, "PLAN_VALUES", 13)
+            par = report_to_dict(run_trials(small_cfg(text, **{"run.parallelism": 4})))
+        assert strip_wall(base) == strip_wall(rerun)
+        assert strip_wall(base) == strip_wall(par)
 
 
 def test_emit_report_files(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sppm import problems
 from sppm.errors import DomainError, ValidationError
 from sppm.noise import NoiseModel
 from sppm.problems import (
@@ -18,6 +19,8 @@ from sppm.problems import (
 )
 from sppm.regularizers import L2Ball, Zero, prox_map
 from sppm.rng import RngStream
+
+from conftest import CountingNoise
 
 
 def quad_1d():
@@ -123,6 +126,68 @@ def test_row_sampler_matches_per_candidate_finite_sum(finite_sum_problem):
         got = rows.sample_rows(i, X)
         for j in range(4):
             assert np.allclose(got[j], singles[j].sample(i, X[j]), atol=1e-15)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "student_t", "rademacher", "sphere", "finite_sum"])
+def test_chunked_plans_match_one_shot_plans(monkeypatch, ball_problem, finite_sum_problem, family):
+    finite = family == "finite_sum"
+    if finite:
+        problem, noise = finite_sum_problem, finite_sum_problem.meta["oracle"]
+    else:
+        problem = ball_problem
+        noise = CountingNoise(NoiseModel(family=family, sigma=1.0, nu=3.0))
+    count, n, d = 50, 3, problem.dim
+    streams = [RngStream(21).child("cand", j) for j in range(n)]
+    # Reference: each stream's whole plan in one draw, (count, n[, d]).
+    if finite:
+        want = np.stack([s.generator().integers(0, noise.count, size=count) for s in streams], axis=1)
+    else:
+        want = np.stack([noise.inner.draw(s.generator(), count, d) for s in streams], axis=1)
+    # 37 values: 2-step row chunks and 6-step single-stream chunks for
+    # noise rows, 12- and 37-step chunks for indices; every plan ends
+    # on a short remainder.
+    monkeypatch.setattr(problems, "PLAN_VALUES", 37)
+    rows = RowSampler(problem, noise, count, streams)
+    singles = [GradientSampler(problem, noise, count, s) for s in streams]
+    samplers = [rows] + singles
+    gen = RngStream(21).child("x").generator(shared=False)
+    for i in range(count):
+        X = 0.2 * gen.standard_normal((n, d))
+        got = rows.sample_rows(i, X)
+        if finite:
+            assert np.array_equal(got, noise.component_grad_rows(X, want[i]))
+        else:
+            assert np.array_equal(got, problem.grad_rows(X) + want[i])
+        for j, single in enumerate(singles):
+            one = single.sample(i, X[j])
+            if finite:
+                assert np.array_equal(one, noise.component_grad(X[j], want[i, j : j + 1])[0])
+            else:
+                assert np.array_equal(one, problem.grad_f(X[j]) + want[i, j])
+        for sampler in samplers:
+            held = [getattr(sampler, slot, None) for slot in ("_noise", "_noise_rows", "_indices")]
+            assert sum(a.size for a in held if a is not None) <= 37
+    if not finite:
+        # the row sampler and the single samplers drew n * count each
+        assert noise.draws == 2 * n * count
+
+
+def test_plans_are_read_in_step_order(monkeypatch, ball_problem):
+    noise = NoiseModel(family="gaussian", sigma=1.0)
+    monkeypatch.setattr(problems, "PLAN_VALUES", 13)
+    rows = RowSampler(ball_problem, noise, 9, [RngStream(22).child("cand", j) for j in range(2)])
+    X = np.zeros((2, ball_problem.dim))
+    rows.sample_rows(0, X)
+    rows.sample_rows(1, X)
+    with pytest.raises(ValidationError):
+        rows.sample_rows(0, X)
+    with pytest.raises(ValidationError):
+        rows.sample_rows(3, X)
+    single = GradientSampler(ball_problem, noise, 4, RngStream(22))
+    for i in range(4):
+        single.sample(i, X[0])
+    with pytest.raises(ValidationError):
+        single.sample(4, X[0])
 
 
 def test_exact_prox_point_closed_form():

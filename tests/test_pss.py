@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sppm.config import ProblemSpec
 from sppm.errors import DomainError, ValidationError
 from sppm.noise import NoiseModel
+from sppm.generate import generate_problem
 from sppm.problems import CompositeProblem, exact_prox_point, shifted_value
 from sppm.pss import (
     CandidatePair,
@@ -161,3 +165,23 @@ def test_config_validation():
         PssConfig(x0=np.zeros(1), alpha=0.9, lam=0.0, inner_iters=5)
     with pytest.raises(ValidationError):
         PssConfig(x0=np.zeros(1), alpha=0.9, lam=1.0, inner_iters=0)
+
+
+def test_batch_memory_does_not_grow_with_inner_iters():
+    # The heavy-tail instance at eps = 2e-3 derives n = 57, I = 21,000:
+    # a one-shot plan would be 57 * 21,001 * 10 doubles (96 MB).
+    spec = ProblemSpec(kind="quadratic-ball", dim=10, mu=1.0, L=4.0,
+                       radius=0.5, instance_seed=20260819)
+    problem = generate_problem(spec, spec.instance_seed)
+    noise = NoiseModel(family="student_t", sigma=1.0, nu=3.0)
+    I = 21_000
+    cfg = PssConfig(x0=problem.start, alpha=alpha_floor(I, 3.0, problem.L), lam=3.0, inner_iters=I)
+    streams = [RngStream(15).child("pss", j) for j in range(57)]
+    tracemalloc.start()
+    try:
+        pairs = pss_run_batch(problem, noise, cfg, streams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 57
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
