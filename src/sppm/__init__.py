@@ -45,7 +45,6 @@ from .problems import (
     exact_prox_point,
     minimize_composite,
     minimize_phi,
-    sample_gradient,
     sample_gradient_batch,
     shifted_value,
 )

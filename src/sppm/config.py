@@ -74,7 +74,6 @@ class RunSpec:
     master_seed: int
     trials: int = 1
     parallelism: int = 1
-    candidate_parallelism: bool = False
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ _SCHEMA = {
     "run.master_seed": ("run", "master_seed", "int"),
     "run.trials": ("run", "trials", "int"),
     "run.parallelism": ("run", "parallelism", "int"),
-    "run.candidate_parallelism": ("run", "candidate_parallelism", "bool"),
 }
 
 _REQUIRED = (
@@ -129,10 +127,6 @@ def _convert(key, raw, tag):
             return int(raw)
         if tag == "float":
             return float(raw)
-        if tag == "bool":
-            if raw in ("true", "false"):
-                return raw == "true"
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise ConfigError(f"{key}: expected {tag}, got {raw!r}") from None
@@ -223,8 +217,6 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
 
 

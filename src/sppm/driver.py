@@ -13,7 +13,6 @@ benchmark runs at desk scale.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,8 +20,8 @@ import numpy as np
 
 from .booster import PbConfig, pb, q_floor, tau_from_eps
 from .errors import DomainError, NumericError, ValidationError
-from .problems import CompositeProblem, GradientSampler, evaluate_phi, supports_rows
-from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run, pss_run_batch
+from .problems import CompositeProblem, GradientSampler, evaluate_phi
+from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run_batch
 from .regularizers import prox_map
 from .rng import RngStream
 
@@ -228,44 +227,38 @@ def sppm_run(
     schedule: Schedule,
     z0: np.ndarray,
     stream: RngStream,
-    candidate_workers: int = 1,
 ) -> RunRecord:
     """Run K outer iterations from z0; returns the full iterate record.
 
     Candidate solves inside an iteration are independent, each on its
-    own substream ("pss", j).  Problems with row oracles advance all n
-    candidates in one vectorized recursion; otherwise candidate_workers
-    > 1 runs the solves on a thread pool, and since results assemble in
-    index order the record never depends on scheduling.  A non-finite
-    z or w from the inner solves raises NumericError naming the outer
-    step and the first bad candidate.  On failure the partial record is
-    attached to the exception as exc.partial_record.
+    own substream ("pss", j), and all n advance as the rows of one
+    pss_run_batch recursion.  A non-finite z or w from the inner solves
+    raises NumericError naming the outer step and the first bad
+    candidate.  On failure the partial record is attached to the
+    exception as exc.partial_record.
     """
     z0 = np.asarray(z0, dtype=float)
     if not problem.h.contains(z0):
         raise DomainError("z0 lies outside dom h")
     n = schedule.candidates_per_iter
-    batched = supports_rows(problem, noise)
     iterates = []
     per_iter = []
+
+    def record():
+        return RunRecord(
+            iterates=tuple(iterates),
+            per_iter_samples=tuple(per_iter),
+            total_samples=sum(per_iter),
+            master_seed=stream.master_seed,
+            schedule=schedule,
+        )
+
     z = z0
     try:
         for k in range(1, schedule.outer_iters + 1):
             k_stream = stream.child("outer", k)
             cfg = PssConfig(x0=z, alpha=schedule.alpha, lam=schedule.lam, inner_iters=schedule.inner_iters)
-
-            def solve(j, _cfg=cfg, _ks=k_stream):
-                return pss_run(problem, noise, _cfg, _ks.child("pss", j))
-
-            if batched:
-                pairs = pss_run_batch(
-                    problem, noise, cfg, [k_stream.child("pss", j) for j in range(n)]
-                )
-            elif candidate_workers > 1:
-                with ThreadPoolExecutor(max_workers=candidate_workers) as pool:
-                    pairs = list(pool.map(solve, range(n)))
-            else:
-                pairs = [solve(j) for j in range(n)]
+            pairs = pss_run_batch(problem, noise, cfg, [k_stream.child("pss", j) for j in range(n)])
             finite = np.isfinite(np.array([p.z for p in pairs] + [p.w for p in pairs])).all(axis=1)
             if not finite.all():
                 bad = int(np.argmin(finite[:n] & finite[n:]))
@@ -281,21 +274,9 @@ def sppm_run(
             iterates.append((np.array(z), np.array(outcome.selected.w)))
             per_iter.append(n * (schedule.inner_iters + 1) + outcome.samples_used)
     except Exception as exc:
-        exc.partial_record = RunRecord(
-            iterates=tuple(iterates),
-            per_iter_samples=tuple(per_iter),
-            total_samples=sum(per_iter),
-            master_seed=stream.master_seed,
-            schedule=schedule,
-        )
+        exc.partial_record = record()
         raise
-    return RunRecord(
-        iterates=tuple(iterates),
-        per_iter_samples=tuple(per_iter),
-        total_samples=sum(per_iter),
-        master_seed=stream.master_seed,
-        schedule=schedule,
-    )
+    return record()
 
 
 def select_best(problem: CompositeProblem, record: RunRecord):

@@ -141,10 +141,20 @@ def initial_iterate(problem) -> np.ndarray:
     return problem.h.interior_point(problem.dim)
 
 
-def _one_trial(problem, noise, schedule, z0, master_seed, t, candidate_workers) -> TrialRecord:
+def prepare(cfg: ExperimentConfig):
+    """(problem, noise, schedule, z0) of a configured experiment;
+    raises InfeasibleScheduleError where require_runnable does."""
+    problem = build_problem(cfg)
+    noise = build_noise(cfg, problem)
+    schedule = build_schedule(cfg, problem)
+    require_runnable(schedule)
+    return problem, noise, schedule, initial_iterate(problem)
+
+
+def _one_trial(problem, noise, schedule, z0, master_seed, t) -> TrialRecord:
     stream = RngStream(master_seed).child("trial", t)
     start = time.perf_counter()
-    record = sppm_run(problem, noise, schedule, z0, stream, candidate_workers=candidate_workers)
+    record = sppm_run(problem, noise, schedule, z0, stream)
     best_k, best_w = select_best(problem, record)
     wall_ms = (time.perf_counter() - start) * 1e3
     gap = evaluate_phi(problem, best_w) - problem.phi_star
@@ -160,18 +170,13 @@ def _one_trial(problem, noise, schedule, z0, master_seed, t, candidate_workers) 
 
 
 def run_trials(cfg: ExperimentConfig) -> TrialReport:
-    problem = build_problem(cfg)
-    noise = build_noise(cfg, problem)
-    schedule = build_schedule(cfg, problem)
-    require_runnable(schedule)
-    z0 = initial_iterate(problem)
+    problem, noise, schedule, z0 = prepare(cfg)
     master = cfg.run.master_seed
     workers = cfg.run.parallelism
-    candidate_workers = cfg.run.parallelism if cfg.run.candidate_parallelism else 1
     start = time.perf_counter()
 
     def job(t):
-        return _one_trial(problem, noise, schedule, z0, master, t, candidate_workers)
+        return _one_trial(problem, noise, schedule, z0, master, t)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -196,14 +201,9 @@ def run_trials(cfg: ExperimentConfig) -> TrialReport:
 
 def single_run(cfg: ExperimentConfig):
     """One instrumented run (trial 0) for the `run` subcommand."""
-    problem = build_problem(cfg)
-    noise = build_noise(cfg, problem)
-    schedule = build_schedule(cfg, problem)
-    require_runnable(schedule)
-    z0 = initial_iterate(problem)
+    problem, noise, schedule, z0 = prepare(cfg)
     stream = RngStream(cfg.run.master_seed).child("trial", 0)
-    candidate_workers = cfg.run.parallelism if cfg.run.candidate_parallelism else 1
-    record = sppm_run(problem, noise, schedule, z0, stream, candidate_workers=candidate_workers)
+    record = sppm_run(problem, noise, schedule, z0, stream)
     return problem, schedule, record
 
 
@@ -214,10 +214,7 @@ def compare_budget(cfg: ExperimentConfig, budget=None):
     quantiles; the samples column is identical by construction when the
     budget defaults to the schedule's own total.
     """
-    problem = build_problem(cfg)
-    noise = build_noise(cfg, problem)
-    schedule = build_schedule(cfg, problem)
-    require_runnable(schedule)
+    problem, noise, schedule, z0 = prepare(cfg)
     needed = total_samples(schedule)
     if budget is None:
         budget = needed
@@ -225,14 +222,12 @@ def compare_budget(cfg: ExperimentConfig, budget=None):
         raise ValidationError(
             f"budget {budget} is below the schedule's total sample count {needed}"
         )
-    z0 = initial_iterate(problem)
     master = cfg.run.master_seed
     eps = schedule.target_eps
-    candidate_workers = cfg.run.parallelism if cfg.run.candidate_parallelism else 1
 
     gaps = {"sppm": [], "sgd": []}
     for t in range(cfg.run.trials):
-        rec = _one_trial(problem, noise, schedule, z0, master, t, candidate_workers)
+        rec = _one_trial(problem, noise, schedule, z0, master, t)
         gaps["sppm"].append(rec.best_gap)
         sgd_stream = RngStream(master).child("sgd-trial", t)
         x_final = sgd_baseline(problem, noise, z0, budget, sgd_stream)

@@ -2,9 +2,10 @@
 
 f is mu-strongly convex with L-Lipschitz gradient, h is a regularizer
 with a cheap prox, and dom h has finite diameter.  Stochastic access
-goes through sample_gradient_batch (a batch of samples at one point)
-and through GradientSampler and RowSampler, which plan the samples of
-sequential solver steps in chunks of at most PLAN_VALUES values; the
+goes through sample_gradient_batch (a batch of samples at one point),
+RowSampler (the inner solver's samples, one row per solve) and
+GradientSampler (the SGD baseline's samples), which plan the samples
+of sequential steps in chunks of at most PLAN_VALUES values; the
 noise argument is either an additive NoiseModel or a FiniteSumOracle
 that samples component gradients.  exact_prox_point is the
 deterministic reference solve used for ground truth, never inside the
@@ -38,8 +39,8 @@ class CompositeProblem:
     phi_star: Optional[float] = None
     kind: str = "custom"
     meta: dict = field(default_factory=dict)
-    # Optional row-vectorized gradient, (n, dim) -> (n, dim); enables
-    # the batched candidate solver.
+    # Row-vectorized gradient, (n, dim) -> (n, dim); None means the
+    # inner solver loops grad_f over the rows.
     grad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # Canonical cold-start iterate for benchmarks (a deterministic
     # boundary point of dom h); None means start from the domain center.
@@ -71,7 +72,8 @@ class FiniteSumOracle:
     count: int
     component_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sigma: float
-    # Optional row-wise variant: component idx[j] evaluated at X[j].
+    # Row-wise variant: component idx[j] evaluated at X[j]; None means
+    # the inner solver loops component_grad over the rows.
     component_grad_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -115,11 +117,6 @@ def sample_gradient_batch(
     if noise.sigma == 0.0:
         return np.tile(g, (count, 1))
     return g[None, :] + noise.draw(gen, count, problem.dim)
-
-
-def sample_gradient(problem: CompositeProblem, noise, x: np.ndarray, stream: RngStream) -> np.ndarray:
-    """One unbiased stochastic gradient at x."""
-    return sample_gradient_batch(problem, noise, x, 1, stream)[0]
 
 
 # Plans stream through buffers of at most this many values (1 MiB of
@@ -177,24 +174,22 @@ class _ChunkedPlan:
 
 class GradientSampler:
     """Plans the stochastic part of `count` sequential gradient samples
-    on one substream.
+    on one substream, for the SGD baseline.
 
     Additive noise vectors and finite-sum component indices do not
     depend on the query point, so they are drawn ahead in vectorized
     chunks (see _ChunkedPlan); that is distributionally identical to
     drawing one per step, and it pays one generator setup per solver
     run instead of one per sample.  sample(i, x) must be called with
-    i = 0, 1, 2, ....  Query points come from prox outputs inside the
-    solvers, so this path skips the domain check that sample_gradient
-    performs.
+    i = 0, 1, 2, ....  Query points come from prox outputs, so this path
+    skips the domain check that sample_gradient_batch performs.
     """
 
-    __slots__ = ("_problem", "_noise_rows", "_indices", "_grad", "_component", "_plan", "count")
+    __slots__ = ("_noise_rows", "_indices", "_grad", "_component", "_plan", "count")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, stream: RngStream):
         if count < 1:
             raise ValidationError(f"sample count must be >= 1, got {count}")
-        self._problem = problem
         self._grad = problem.grad_f
         self.count = count
         self._noise_rows = self._indices = self._component = self._plan = None
@@ -218,36 +213,37 @@ class GradientSampler:
         return self._grad(x) + self._noise_rows[i - plan.start, 0]
 
 
-def supports_rows(problem: CompositeProblem, noise) -> bool:
-    """True when the batched candidate solver can run: the problem has a
-    row-vectorized gradient and, for finite sums, a row-wise oracle."""
-    if problem.grad_rows is None:
-        return False
-    if isinstance(noise, FiniteSumOracle):
-        return noise.component_grad_rows is not None
-    return True
+def _rows_of(grad):
+    """Row-loop form of a pointwise gradient: (n, dim) -> (n, dim)."""
+    return lambda X: np.array([grad(x) for x in X])
+
+
+def _component_rows_of(component_grad):
+    """Row-loop form of a finite-sum oracle: component idx[j] at X[j]."""
+    return lambda X, idx: np.array(
+        [component_grad(x, idx[j : j + 1])[0] for j, x in enumerate(X)]
+    )
 
 
 class RowSampler:
-    """Gradient-sample plans for n candidates advancing in lockstep.
+    """Gradient-sample plans for n solves advancing in lockstep.
 
-    Candidate j's plan is drawn on streams[j] exactly as GradientSampler
-    would draw it, so per-candidate values do not depend on whether the
-    candidates run batched or one at a time.  Plans stream through one
+    Row j's plan is drawn on streams[j] alone, so its values do not
+    depend on how many rows run beside it.  Plans stream through one
     step-major buffer of at most PLAN_VALUES values (see _ChunkedPlan).
-    sample_rows(i, X) returns the i-th sample of every candidate,
-    evaluated row-wise at X, and must be called with i = 0, 1, 2, ....
+    sample_rows(i, X) returns the i-th sample of every row, evaluated
+    row-wise at X, and must be called with i = 0, 1, 2, ....  A problem
+    without grad_rows, or an oracle without component_grad_rows, is
+    evaluated by a loop over the rows.
     """
 
     __slots__ = ("_grad_rows", "_component_rows", "_noise", "_indices", "_plan")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, streams):
-        if not supports_rows(problem, noise):
-            raise ValidationError("problem lacks row-vectorized oracles")
-        self._grad_rows = problem.grad_rows
+        self._grad_rows = problem.grad_rows or _rows_of(problem.grad_f)
         self._component_rows = self._noise = self._indices = self._plan = None
         if isinstance(noise, FiniteSumOracle):
-            self._component_rows = noise.component_grad_rows
+            self._component_rows = noise.component_grad_rows or _component_rows_of(noise.component_grad)
             self._plan = _ChunkedPlan(noise, count, streams, problem.dim)
             self._indices = self._plan.buffer
         elif noise.sigma != 0.0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,12 +23,13 @@ from .config import ProblemSpec
 from .generate import generate_problem
 from .noise import FAMILIES, NoiseModel
 from .problems import (
+    CompositeProblem,
     evaluate_phi,
     exact_prox_point,
     sample_gradient_batch,
     shifted_value,
 )
-from .pss import CandidatePair, PssConfig, alpha_floor, epsilon_k_bound, pss_run
+from .pss import CandidatePair, PssConfig, alpha_floor, epsilon_k_bound, pss_run, pss_run_batch
 from .regularizers import Box, L1, L1Box, L2Ball, Zero, prox_map
 from .rng import RngStream
 from .selection import DhParams, EuclideanMetric, bregman_dh, make_dh, rge, sts
@@ -42,18 +44,19 @@ REF_SIGMA = 1.0
 
 
 class CountingNoise:
-    """Wraps an additive noise model, counting samples drawn through it."""
+    """Wraps an additive noise model, counting the oracle draws made
+    through it in `draws`."""
 
     def __init__(self, inner: NoiseModel):
         self.inner = inner
-        self.samples = 0
+        self.draws = 0
 
     @property
     def sigma(self):
         return self.inner.sigma
 
     def draw(self, gen, count, dim):
-        self.samples += count
+        self.draws += count
         return self.inner.draw(gen, count, dim)
 
 
@@ -157,8 +160,6 @@ def check_prox_point_closed_form(instances: int = 100):
         b = gen.standard_normal(d)
         x0 = gen.standard_normal(d)
         lam = 10.0 ** gen.uniform(-0.5, 1.0)
-        from .problems import CompositeProblem
-
         problem = CompositeProblem(
             dim=d,
             f=lambda x, A=A, b=b: 0.5 * float((x - b) @ A @ (x - b)),
@@ -212,7 +213,7 @@ def check_replay_determinism():
     g2 = rge(problem, noise, problem.h.center, 5, 3, stream.child("rge"))
     if not np.array_equal(g1, g2):
         return False, "rge differs across replays"
-    pairs = [pss_run(problem, noise, cfg, stream.child("cand", j)) for j in range(5)]
+    pairs = pss_run_batch(problem, noise, cfg, [stream.child("cand", j) for j in range(5)])
     pcfg = PbConfig(q=3, lam=REF_LAM, n=5, z_bar=problem.h.center)
     o1 = pb(pairs, pcfg, problem, noise, stream.child("pb"))
     o2 = pb(pairs, pcfg, problem, noise, stream.child("pb"))
@@ -222,35 +223,29 @@ def check_replay_determinism():
 
 # ------------------------------------------------------------------ pss
 
-def check_pss_hand_example():
-    """1-D noiseless quadratic, alpha = 2/3, I = 2: z = 4/9, w = 2/9."""
-    from .problems import CompositeProblem
-
-    problem = CompositeProblem(
+def _unit_quadratic():
+    """f(x) = x^2 / 2 on the real line, h = 0: the hand-checked pss setting."""
+    return CompositeProblem(
         dim=1, f=lambda x: 0.5 * float(x @ x), grad_f=lambda x: np.array(x), h=Zero(),
         mu=1.0, L=1.0,
     )
+
+
+def check_pss_hand_example():
+    """1-D noiseless quadratic, alpha = 2/3, I = 2: z = 4/9, w = 2/9."""
     cfg = PssConfig(x0=np.array([1.0]), alpha=2.0 / 3.0, lam=1.0, inner_iters=2)
-    out = pss_run(problem, NoiseModel(family="gaussian", sigma=0.0), cfg, RngStream(0))
+    out = pss_run(_unit_quadratic(), NoiseModel(family="gaussian", sigma=0.0), cfg, RngStream(0))
     ok = abs(out.z[0] - 4.0 / 9.0) < 1e-12 and abs(out.w[0] - 2.0 / 9.0) < 1e-12
     return ok, f"z = {out.z[0]:.12f} (want 4/9), w = {out.w[0]:.12f} (want 2/9)"
 
 
 def check_pss_long_run():
     """Same setting at I = 500 converges to the prox point 0.5."""
-    import warnings as _w
-
-    from .problems import CompositeProblem
-
-    problem = CompositeProblem(
-        dim=1, f=lambda x: 0.5 * float(x @ x), grad_f=lambda x: np.array(x), h=Zero(),
-        mu=1.0, L=1.0,
-    )
     cfg = PssConfig(x0=np.array([1.0]), alpha=2.0 / 3.0, lam=1.0, inner_iters=500,
                     validated=False)
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        out = pss_run(problem, NoiseModel(family="gaussian", sigma=0.0), cfg, RngStream(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = pss_run(_unit_quadratic(), NoiseModel(family="gaussian", sigma=0.0), cfg, RngStream(0))
     err = abs(out.z[0] - 0.5)
     return err <= 1e-3, f"|z - 0.5| = {err:.2e}"
 
@@ -261,8 +256,8 @@ def check_pss_accounting(I: int = 37):
     cfg = PssConfig(x0=problem.h.center, alpha=alpha_floor(I, REF_LAM, problem.L),
                     lam=REF_LAM, inner_iters=I)
     out = pss_run(problem, noise, cfg, RngStream(106).child("acct"))
-    ok = noise.samples == I + 1 and out.samples_used == I + 1
-    return ok, f"counted {noise.samples} draws for I = {I} (want {I + 1})"
+    ok = noise.draws == I + 1 and out.samples_used == I + 1
+    return ok, f"counted {noise.draws} draws for I = {I} (want {I + 1})"
 
 
 def check_pss_anchoring(I: int = 30, probes: int = 20):
@@ -319,8 +314,8 @@ def check_pss_gap_nonnegative(runs: int = 200, I: int = 25):
     cfg = PssConfig(x0=center, alpha=alpha_floor(I, REF_LAM, problem.L), lam=REF_LAM,
                     inner_iters=I)
     worst = math.inf
-    for t in range(runs):
-        out = pss_run(problem, noise, cfg, RngStream(109).child("gap", t))
+    outs = pss_run_batch(problem, noise, cfg, [RngStream(109).child("gap", t) for t in range(runs)])
+    for t, out in enumerate(outs):
         worst = min(worst, shifted_value(problem, out.w, center, REF_LAM) - base)
         if worst < -1e-8:
             return False, f"negative gap {worst:.3e} at run {t}"
@@ -336,10 +331,8 @@ def mean_gap_stats(I: int, runs: int, seed: int = 110):
     base = shifted_value(problem, z_hat, center, REF_LAM)
     a = alpha_floor(I, REF_LAM, problem.L)
     cfg = PssConfig(x0=center, alpha=a, lam=REF_LAM, inner_iters=I)
-    gaps = np.empty(runs)
-    for t in range(runs):
-        out = pss_run(problem, noise, cfg, RngStream(seed).child(f"gap{I}", t))
-        gaps[t] = shifted_value(problem, out.w, center, REF_LAM) - base
+    outs = pss_run_batch(problem, noise, cfg, [RngStream(seed).child(f"gap{I}", t) for t in range(runs)])
+    gaps = np.array([shifted_value(problem, out.w, center, REF_LAM) - base for out in outs])
     bound = epsilon_k_bound(a, I, REF_LAM, REF_SIGMA, problem.diameter, problem.L)
     return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(runs)), bound
 
@@ -451,7 +444,7 @@ def check_rge_accounting(n: int = 12, q: int = 5):
     problem = reference_problem()
     noise = CountingNoise(_gaussian())
     rge(problem, noise, problem.h.center, n, q, RngStream(115))
-    return noise.samples == n * q, f"counted {noise.samples} draws (want {n * q})"
+    return noise.draws == n * q, f"counted {noise.draws} draws (want {n * q})"
 
 
 def check_rge_concentration(trials: int = 2000, n: int = 144, q: int = 16, delta: float = 0.5):
@@ -491,8 +484,6 @@ def check_pb_identical_pairs():
 def check_pb_noiseless_outlier():
     """Three candidates at the exact prox point, one far away: the far
     one is excluded by every pass (unconstrained problem, sigma = 0)."""
-    from .problems import CompositeProblem
-
     d = 4
     A = np.diag([1.0, 2.0, 3.0, 4.0])
     problem = CompositeProblem(
@@ -520,7 +511,7 @@ def check_pb_structure(n: int = 30, q: int = 3):
     cfg = PssConfig(x0=center, alpha=alpha_floor(20, REF_LAM, problem.L), lam=REF_LAM,
                     inner_iters=20)
     stream = RngStream(119).child("struct")
-    pairs = [pss_run(problem, _gaussian(), cfg, stream.child("pss", j)) for j in range(n)]
+    pairs = pss_run_batch(problem, _gaussian(), cfg, [stream.child("pss", j) for j in range(n)])
     out = pb(pairs, PbConfig(q=q, lam=REF_LAM, n=n, z_bar=center), problem, noise,
              stream.child("pb"))
     sizes = [len(js) for js in out.index_sets]
@@ -528,9 +519,9 @@ def check_pb_structure(n: int = 30, q: int = 3):
         all(size > 2 * n / 3 for size in sizes)
         and all(out.selected_index in js for js in out.index_sets)
         and out.samples_used == n * q
-        and noise.samples == n * q
+        and noise.draws == n * q
     )
-    return ok, f"index-set sizes {sizes}, samples {noise.samples} (want {n * q})"
+    return ok, f"index-set sizes {sizes}, samples {noise.draws} (want {n * q})"
 
 
 def check_shifted_two_sided_bound(points: int = 1000):
@@ -660,8 +651,8 @@ def check_per_call_frequency(calls: int = 2000, I: int = 50):
     threshold = tau_from_eps(eps_k)
     cfg = PssConfig(x0=center, alpha=a, lam=REF_LAM, inner_iters=I)
     hits = 0
-    for t in range(calls):
-        pair = pss_run(problem, noise, cfg, RngStream(123).child("call", t))
+    pairs = pss_run_batch(problem, noise, cfg, [RngStream(123).child("call", t) for t in range(calls)])
+    for pair in pairs:
         if pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, pair) <= threshold:
             hits += 1
     freq = hits / calls
@@ -687,7 +678,7 @@ def check_recursion_frequency(iterations: int = 500, n: int = 144, I: int = 25):
         z_prev = _interior(problem, gen)
         stream = RngStream(124).child("iter", t)
         cfg = PssConfig(x0=z_prev, alpha=a, lam=REF_LAM, inner_iters=I)
-        pairs = [pss_run(problem, noise, cfg, stream.child("pss", j)) for j in range(n)]
+        pairs = pss_run_batch(problem, noise, cfg, [stream.child("pss", j) for j in range(n)])
         out = pb(pairs, PbConfig(q=q, lam=REF_LAM, n=n, z_bar=z_prev), problem, noise,
                  stream.child("pb"))
         w_bar, z_bar = out.selected.w, out.selected.z

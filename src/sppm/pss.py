@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .problems import CompositeProblem, GradientSampler, RowSampler, supports_rows
-from .regularizers import prox_map
+from .problems import CompositeProblem, RowSampler
 from .rng import RngStream
 
 
@@ -75,22 +74,9 @@ def epsilon_k_bound(alpha: float, inner_iters: int, lam: float, sigma: float, D:
     return bias + lam * sigma * sigma / inner_iters
 
 
-def pss_run(
-    problem: CompositeProblem,
-    noise,
-    cfg: PssConfig,
-    stream: RngStream,
-    observer=None,
-) -> CandidatePair:
-    """Run the inner solver; consumes exactly inner_iters + 1 samples.
-
-    The stochastic part of the I+1 samples is drawn ahead on substream
-    ("noise") in chunks of at most PLAN_VALUES values, so replays and
-    outer parallelism never perturb the values, memory does not grow
-    with I, and the per-step cost stays arithmetic-only.
-    observer(i, s, S, x, y), if given, sees each step (used by the
-    invariant tests).
-    """
+def _check_start(problem: CompositeProblem, cfg: PssConfig) -> None:
+    """Reject a prox center outside dom h and an alpha below its floor
+    (only warn when cfg.validated is False)."""
     if not problem.h.contains(cfg.x0):
         raise DomainError("prox center lies outside dom h")
     floor = alpha_floor(cfg.inner_iters, cfg.lam, problem.L)
@@ -102,24 +88,8 @@ def pss_run(
             )
         warnings.warn(
             f"alpha={cfg.alpha:.6g} below floor {floor:.6g}: mean-gap guarantee lapses",
-            stacklevel=2,
+            stacklevel=3,
         )
-
-    sampler = GradientSampler(problem, noise, cfg.inner_iters + 1, stream.child("noise"))
-    a = cfg.alpha
-    b = 1.0 - a
-    x0 = cfg.x0
-    x = x0
-    S = None
-    y = None
-    for i in range(1, cfg.inner_iters + 2):
-        s = sampler.sample(i - 1, x)
-        S = s if i == 1 else a * S + b * s
-        x = prox_map(problem.h, x0 - cfg.lam * S, cfg.lam)
-        y = x if i == 1 else a * y + b * x
-        if observer is not None:
-            observer(i, s, S, x, y)
-    return CandidatePair(z=x, w=y, samples_used=cfg.inner_iters + 1)
 
 
 def pss_run_batch(
@@ -127,31 +97,19 @@ def pss_run_batch(
     noise,
     cfg: PssConfig,
     streams,
+    observer=None,
 ) -> list:
-    """Run len(streams) independent inner solves in lockstep.
+    """Run len(streams) independent inner solves in lockstep, one row
+    per solve; each consumes exactly inner_iters + 1 samples.
 
-    Candidate j consumes the same substreams as
-    pss_run(problem, noise, cfg, streams[j]), so the draws match the
-    one-at-a-time path; only the row-vectorized arithmetic differs (at
-    float rounding).  Falls back to sequential solves when the problem
-    lacks row oracles.
+    Row j's samples are planned on substream streams[j].child("noise")
+    in chunks of at most PLAN_VALUES values (see RowSampler), so a
+    solve's draws do not depend on which other rows run beside it,
+    memory does not grow with I, and the per-step cost stays
+    arithmetic-only.  observer(i, G, S, X, Y), if given, sees each
+    step i = 1..I+1 as (n, dim) rows.
     """
-    if not supports_rows(problem, noise):
-        return [pss_run(problem, noise, cfg, s) for s in streams]
-    if not problem.h.contains(cfg.x0):
-        raise DomainError("prox center lies outside dom h")
-    floor = alpha_floor(cfg.inner_iters, cfg.lam, problem.L)
-    if cfg.alpha < floor - 1e-12:
-        if cfg.validated:
-            raise ValidationError(
-                f"alpha={cfg.alpha:.6g} below floor {floor:.6g} for I={cfg.inner_iters}; "
-                "pass validated=False to run outside the guarantee"
-            )
-        warnings.warn(
-            f"alpha={cfg.alpha:.6g} below floor {floor:.6g}: mean-gap guarantee lapses",
-            stacklevel=2,
-        )
-
+    _check_start(problem, cfg)
     count = cfg.inner_iters + 1
     sampler = RowSampler(problem, noise, count, [s.child("noise") for s in streams])
     a = cfg.alpha
@@ -160,15 +118,32 @@ def pss_run_batch(
     n = len(streams)
     X = np.tile(cfg.x0, (n, 1))
     x0 = cfg.x0[None, :]
-    S = None
-    Y = None
     h = problem.h
     for i in range(count):
         G = sampler.sample_rows(i, X)
         S = G if i == 0 else a * S + b * G
         X = h.prox_rows(x0 - lam * S, lam)
         Y = X if i == 0 else a * Y + b * X
+        if observer is not None:
+            observer(i + 1, G, S, X, Y)
     return [
         CandidatePair(z=np.array(X[j]), w=np.array(Y[j]), samples_used=count)
         for j in range(n)
     ]
+
+
+def pss_run(
+    problem: CompositeProblem,
+    noise,
+    cfg: PssConfig,
+    stream: RngStream,
+    observer=None,
+) -> CandidatePair:
+    """One inner solve: pss_run_batch on the single stream.
+    observer(i, s, S, x, y), if given, sees each step as vectors (used
+    by the invariant tests)."""
+    rows = None
+    if observer is not None:
+        def rows(i, G, S, X, Y):
+            observer(i, G[0], S[0], X[0], Y[0])
+    return pss_run_batch(problem, noise, cfg, [stream], rows)[0]

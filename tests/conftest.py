@@ -4,6 +4,8 @@ from hypothesis import settings
 
 from sppm.config import ProblemSpec
 from sppm.generate import generate_problem
+from sppm.noise import NoiseModel
+from sppm.props import CountingNoise
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -24,28 +26,6 @@ def finite_sum_problem():
     return generate_problem(spec, spec.instance_seed)
 
 
-class CountingNoise:
-    """NoiseModel wrapper that counts oracle draws."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.draws = 0
-
-    @property
-    def sigma(self):
-        return self.inner.sigma
-
-    @property
-    def family(self):
-        return self.inner.family
-
-    def draw(self, gen, count, dim):
-        self.draws += count
-        return self.inner.draw(gen, count, dim)
-
-
 @pytest.fixture
 def counting_noise():
-    from sppm.noise import NoiseModel
-
     return CountingNoise(NoiseModel(family="gaussian", sigma=1.0))

@@ -19,6 +19,7 @@ from sppm.harness import emit_report, run_trials
 from sppm.noise import NoiseModel
 from sppm.problems import evaluate_phi
 from sppm.props import (
+    CountingNoise,
     check_hoeffding_fraction,
     check_metric_comparison,
     check_shifted_two_sided_bound,
@@ -30,8 +31,6 @@ from sppm.props import (
     check_sts_planted,
 )
 from sppm.rng import RngStream
-
-from conftest import CountingNoise
 
 
 def _report(tag, elapsed, budget, details):

@@ -104,11 +104,11 @@ def test_schedule_overrides_parse():
     assert cfg.algo.rge_batch is None
 
 
-def test_bool_key():
-    cfg = parse_config(BASE + "run.candidate_parallelism = true\n")
-    assert cfg.run.candidate_parallelism is True
-    with pytest.raises(ConfigError):
-        parse_config(BASE + "run.candidate_parallelism = yes\n")
+def test_candidate_parallelism_key_rejected():
+    # run.candidate_parallelism was removed: candidates always run as
+    # the rows of one inner recursion.
+    with pytest.raises(ConfigError, match="unknown key 'run.candidate_parallelism'"):
+        parse_config(BASE + "run.candidate_parallelism = true\n")
 
 
 def test_load_config_reads_file(tmp_path):

@@ -21,6 +21,7 @@ from sppm.harness import build_noise, build_problem, build_schedule, initial_ite
 from sppm.noise import NoiseModel
 from sppm.problems import evaluate_phi
 from sppm.pss import alpha_floor
+from sppm.regularizers import L2Ball
 from sppm.rng import RngStream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -130,17 +131,15 @@ def test_sppm_run_sample_accounting(ball_problem, counting_noise):
     assert counting_noise.draws == rec.total_samples
 
 
-def test_sppm_run_replay_and_worker_independence(ball_problem):
+def test_sppm_run_replay_is_bitwise(ball_problem):
     s = small_schedule(ball_problem)
     noise = NoiseModel(family="student_t", sigma=1.0, nu=3.0)
     z0 = ball_problem.h.interior_point(ball_problem.dim)
     a = sppm_run(ball_problem, noise, s, z0, RngStream(62))
     b = sppm_run(ball_problem, noise, s, z0, RngStream(62))
-    c = sppm_run(ball_problem, noise, s, z0, RngStream(62), candidate_workers=3)
-    for one, two in ((a, b), (a, c)):
-        for (z1, w1), (z2, w2) in zip(one.iterates, two.iterates):
-            assert np.array_equal(z1, z2)
-            assert np.array_equal(w1, w2)
+    for (z1, w1), (z2, w2) in zip(a.iterates, b.iterates):
+        assert np.array_equal(z1, z2)
+        assert np.array_equal(w1, w2)
 
 
 def test_sppm_run_independent_of_plan_chunking(monkeypatch, ball_problem, counting_noise):
@@ -236,3 +235,45 @@ def test_schedule_validation():
         Schedule(lam=1.0, alpha=1.5, inner_iters=1, candidates_per_iter=1,
                  rge_batch=1, outer_iters=1, eps_k=1.0, tau=8.0,
                  target_eps=1.0, target_p=0.1, feasible=True)
+
+
+def _assert_iterates_close(one, two):
+    for (z1, w1), (z2, w2) in zip(one.iterates, two.iterates):
+        assert np.allclose(z1, z2, rtol=0, atol=1e-12)
+        assert np.allclose(w1, w2, rtol=0, atol=1e-12)
+
+
+def test_row_loop_default_for_custom_problem(counting_noise):
+    # A custom additive problem that gives only grad_f runs through the
+    # row-loop default; a hand-written grad_rows must agree with it.
+    d = 4
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    b = np.array([0.3, -0.2, 0.1, 0.4])
+    bare = problems.CompositeProblem(
+        dim=d, f=lambda x: 0.5 * float((x - b) @ A @ (x - b)), grad_f=lambda x: A @ (x - b),
+        h=L2Ball(center=np.zeros(d), radius=0.5), mu=1.0, L=4.0, diameter=1.0,
+    )
+    assert bare.grad_rows is None
+    rows = replace(bare, grad_rows=lambda X: (X - b) @ A)
+    s = small_schedule(bare)
+    z0 = np.zeros(d)
+    got = sppm_run(bare, counting_noise, s, z0, RngStream(67))
+    assert counting_noise.draws == got.total_samples == total_samples(s)
+    _assert_iterates_close(got, sppm_run(rows, counting_noise.inner, s, z0, RngStream(67)))
+
+
+def test_row_loop_default_for_finite_sum_oracle(finite_sum_problem):
+    oracle = finite_sum_problem.meta["oracle"]
+    draws = 0
+
+    def component_grad(x, idx):
+        nonlocal draws
+        draws += len(idx)
+        return oracle.component_grad(x, idx)
+
+    bare = replace(oracle, component_grad=component_grad, component_grad_rows=None)
+    s = small_schedule(finite_sum_problem)
+    z0 = finite_sum_problem.h.interior_point(finite_sum_problem.dim)
+    got = sppm_run(finite_sum_problem, bare, s, z0, RngStream(68))
+    assert draws == got.total_samples == total_samples(s)
+    _assert_iterates_close(got, sppm_run(finite_sum_problem, oracle, s, z0, RngStream(68)))

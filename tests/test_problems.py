@@ -15,12 +15,10 @@ from sppm.problems import (
     minimize_phi,
     sample_gradient_batch,
     shifted_value,
-    supports_rows,
 )
+from sppm.props import CountingNoise
 from sppm.regularizers import L2Ball, Zero, prox_map
 from sppm.rng import RngStream
-
-from conftest import CountingNoise
 
 
 def quad_1d():
@@ -116,7 +114,6 @@ def test_row_sampler_matches_per_candidate_plans(ball_problem):
 
 def test_row_sampler_matches_per_candidate_finite_sum(finite_sum_problem):
     oracle = finite_sum_problem.meta["oracle"]
-    assert supports_rows(finite_sum_problem, oracle)
     streams = [RngStream(4).child("cand", j) for j in range(4)]
     rows = RowSampler(finite_sum_problem, oracle, 6, streams)
     singles = [GradientSampler(finite_sum_problem, oracle, 6, s) for s in streams]
