@@ -22,8 +22,9 @@ order).  Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
 from .generate import KINDS
@@ -33,17 +34,17 @@ NOISE_CHOICES = FAMILIES + ("finite_sum",)
 MODES = ("verbatim", "practical")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProblemSpec:
     kind: str
     dim: int
     mu: float
     L: float
-    instance_seed: int
     radius: Optional[float] = None
     box_halfwidth: Optional[float] = None
     l1_weight: float = 0.01
     components: int = 200
+    instance_seed: int
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,6 @@ class AlgoSpec:
     candidates: Optional[int] = None
     rge_batch: Optional[int] = None
     outer_iters: Optional[int] = None
-    tau_factor: float = 1.0
-    boost_factor: float = 1.0
-    hoeffding_factor: float = 8.0
 
 
 @dataclass(frozen=True)
@@ -84,52 +82,36 @@ class ExperimentConfig:
     run: RunSpec
 
 
-# key -> (section dataclass name, attribute, type tag)
-_SCHEMA = {
-    "problem.kind": ("problem", "kind", "str"),
-    "problem.dim": ("problem", "dim", "int"),
-    "problem.mu": ("problem", "mu", "float"),
-    "problem.L": ("problem", "L", "float"),
-    "problem.radius": ("problem", "radius", "float"),
-    "problem.box_halfwidth": ("problem", "box_halfwidth", "float"),
-    "problem.l1_weight": ("problem", "l1_weight", "float"),
-    "problem.components": ("problem", "components", "int"),
-    "problem.instance_seed": ("problem", "instance_seed", "int"),
-    "noise.family": ("noise", "family", "str"),
-    "noise.sigma": ("noise", "sigma", "float"),
-    "noise.nu": ("noise", "nu", "float"),
-    "algo.auto.eps": ("algo", "eps", "float"),
-    "algo.auto.p": ("algo", "p", "float"),
-    "algo.mode": ("algo", "mode", "str"),
-    "algo.lambda": ("algo", "lam", "float"),
-    "algo.alpha": ("algo", "alpha", "float"),
-    "algo.inner_iters": ("algo", "inner_iters", "int"),
-    "algo.candidates": ("algo", "candidates", "int"),
-    "algo.rge_batch": ("algo", "rge_batch", "int"),
-    "algo.outer_iters": ("algo", "outer_iters", "int"),
-    "algo.factor.tau": ("algo", "tau_factor", "float"),
-    "algo.factor.boost": ("algo", "boost_factor", "float"),
-    "algo.factor.hoeffding": ("algo", "hoeffding_factor", "float"),
-    "run.master_seed": ("run", "master_seed", "int"),
-    "run.trials": ("run", "trials", "int"),
-    "run.parallelism": ("run", "parallelism", "int"),
-}
-
-_REQUIRED = (
-    "problem.kind", "problem.dim", "problem.mu", "problem.L", "problem.instance_seed",
-    "noise.family", "noise.sigma", "algo.auto.eps", "algo.auto.p", "run.master_seed",
-)
+# section -> spec dataclass, in ExperimentConfig field order
+_SECTIONS = get_type_hints(ExperimentConfig)
+# The keys that are not "section.field".
+_KEY_NAMES = {"algo.eps": "algo.auto.eps", "algo.p": "algo.auto.p", "algo.lam": "algo.lambda"}
 
 
-def _convert(key, raw, tag):
+def _build_schema() -> dict:
+    """key -> (section, attribute, value type, required), in field order.
+    A field is required when it has no default."""
+    schema = {}
+    for section, spec in _SECTIONS.items():
+        hints = get_type_hints(spec)
+        for f in fields(spec):
+            name = f"{section}.{f.name}"
+            typ = next((a for a in get_args(hints[f.name]) if a is not type(None)), hints[f.name])
+            schema[_KEY_NAMES.get(name, name)] = (section, f.name, typ, f.default is MISSING)
+    return schema
+
+
+_SCHEMA = _build_schema()
+
+
+def _convert(key, raw, typ):
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        return raw
+        value = typ(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected {tag}, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -146,23 +128,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = _convert(key, raw, _SCHEMA[key][2])
-    missing = [k for k in _REQUIRED if k not in seen]
+    missing = [k for k, (*_, required) in _SCHEMA.items() if required and k not in seen]
     if missing:
         raise ConfigError(f"missing required keys: {missing}")
 
-    sections = {"problem": {}, "noise": {}, "algo": {}, "run": {}}
+    sections = {section: {} for section in _SECTIONS}
     for key, value in seen.items():
-        section, attr, _ = _SCHEMA[key]
+        section, attr, *_ = _SCHEMA[key]
         sections[section][attr] = value
-    try:
-        cfg = ExperimentConfig(
-            problem=ProblemSpec(**sections["problem"]),
-            noise=NoiseSpec(**sections["noise"]),
-            algo=AlgoSpec(**sections["algo"]),
-            run=RunSpec(**sections["run"]),
-        )
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = ExperimentConfig(**{s: spec(**sections[s]) for s, spec in _SECTIONS.items()})
     _validate(cfg)
     return cfg
 
@@ -207,9 +181,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         v = getattr(algo, name)
         if v is not None and v < 1:
             raise ConfigError(f"algo {name} override must be >= 1, got {v}")
-    for name in ("tau_factor", "boost_factor", "hoeffding_factor"):
-        if getattr(algo, name) <= 0.0:
-            raise ConfigError(f"algo.factor values must be positive")
     if run.trials < 1:
         raise ConfigError(f"run.trials must be >= 1, got {run.trials}")
     if run.parallelism < 1:
@@ -223,7 +194,7 @@ def _format(value) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: every set key, in schema order."""
     lines = []
-    for key, (section, attr, _) in _SCHEMA.items():
+    for key, (section, attr, *_) in _SCHEMA.items():
         value = getattr(getattr(cfg, section), attr)
         if value is None:
             continue

@@ -6,8 +6,8 @@ the center.  derive_schedule turns accuracy/confidence targets
 (eps, p) into concrete parameters; the verbatim mode keeps the proof
 constants (Markov factor 8, accuracy factor 12 + 57*kappa, Hoeffding
 factor 72) and is honest about infeasibility, while the practical mode
-swaps them for measured-not-proven factors (defaults 1, 1, 8) so the
-benchmark runs at desk scale.
+swaps them for the fixed measured-not-proven factors PRACTICAL_FACTORS
+(1, 1, 8) so the benchmark runs at desk scale.
 """
 
 from __future__ import annotations
@@ -106,8 +106,6 @@ def derive_schedule(
     target_p: float,
     overrides: Optional[dict] = None,
     mode: str = "verbatim",
-    factors: Optional[tuple] = None,
-    i_cap: int = I_CAP,
 ) -> Schedule:
     """Fill a Schedule from targets; overrides pin individual fields and
     the dependent quantities are recomputed around them.
@@ -117,6 +115,10 @@ def derive_schedule(
     alpha sits at its own floor) is reported through feasible=False and
     diagnostics, never an exception.
     """
+    for name, value in (("mu", mu), ("L", L), ("sigma", sigma), ("D", D), ("target_eps", target_eps)):
+        if not math.isfinite(value):
+            bounded = " (dom h must be bounded)" if name == "D" else ""
+            raise ValidationError(f"{name} must be finite{bounded}, got {value}")
     if min(mu, L, D) <= 0.0 or sigma < 0.0:
         raise ValidationError("need mu, L, D > 0 and sigma >= 0")
     if L <= mu:
@@ -136,7 +138,7 @@ def derive_schedule(
     if mode == "verbatim":
         markov_c, boost_c, hoeff_c = 8.0, 12.0 + 57.0 * kappa, 72.0
     else:
-        markov_c, boost_c, hoeff_c = factors if factors is not None else PRACTICAL_FACTORS
+        markov_c, boost_c, hoeff_c = PRACTICAL_FACTORS
 
     lam = float(ov.get("lam", 3.0 / mu))
     eps_dist = eps_stat = target_eps / 2.0
@@ -155,7 +157,7 @@ def derive_schedule(
     if "inner_iters" in ov:
         I = int(ov["inner_iters"])
     else:
-        found = _smallest_feasible_inner(meets_target, i_cap)
+        found = _smallest_feasible_inner(meets_target, I_CAP)
         if found is not None:
             I = found
         else:
@@ -166,7 +168,7 @@ def derive_schedule(
             # per-call target.  feasible stays False regardless.
             if sigma > 0.0 and per_call_target > 0.0:
                 amplified = lam * sigma * sigma * (1.0 + 0.5 * lam * L)
-                I = int(min(i_cap, max(8, math.ceil(amplified / per_call_target))))
+                I = int(min(I_CAP, max(8, math.ceil(amplified / per_call_target))))
             else:
                 I = 8
     alpha = float(ov.get("alpha", alpha_floor(I, lam, L)))

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +115,6 @@ def build_schedule(cfg: ExperimentConfig, problem: CompositeProblem) -> Schedule
         target_p=algo.p,
         overrides=overrides or None,
         mode=algo.mode,
-        factors=(algo.tau_factor, algo.boost_factor, algo.hoeffding_factor),
     )
 
 
@@ -169,20 +168,23 @@ def _one_trial(problem, noise, schedule, z0, master_seed, t) -> TrialRecord:
     )
 
 
+def _trials(cfg: ExperimentConfig, job) -> tuple:
+    """(job(0), ..., job(M-1)) over the configured trials, on a thread
+    pool of run.parallelism workers when that exceeds 1.  Each trial
+    draws only from its own named streams, so the result is the same
+    for every worker count."""
+    trials = range(cfg.run.trials)
+    if cfg.run.parallelism > 1:
+        with ThreadPoolExecutor(max_workers=cfg.run.parallelism) as pool:
+            return tuple(pool.map(job, trials))
+    return tuple(map(job, trials))
+
+
 def run_trials(cfg: ExperimentConfig) -> TrialReport:
     problem, noise, schedule, z0 = prepare(cfg)
     master = cfg.run.master_seed
-    workers = cfg.run.parallelism
     start = time.perf_counter()
-
-    def job(t):
-        return _one_trial(problem, noise, schedule, z0, master, t)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(job, range(cfg.run.trials)))
-    else:
-        records = tuple(job(t) for t in range(cfg.run.trials))
+    records = _trials(cfg, lambda t: _one_trial(problem, noise, schedule, z0, master, t))
     failures = sum(r.failed for r in records)
     lo, hi = wilson_interval(failures, cfg.run.trials)
     return TrialReport(
@@ -212,7 +214,8 @@ def compare_budget(cfg: ExperimentConfig, budget=None):
 
     Returns one row dict per method with failure stats and exact-gap
     quantiles; the samples column is identical by construction when the
-    budget defaults to the schedule's own total.
+    budget defaults to the schedule's own total.  A trial's SPPM and SGD
+    runs are one job of the trial executor.
     """
     problem, noise, schedule, z0 = prepare(cfg)
     needed = total_samples(schedule)
@@ -225,17 +228,15 @@ def compare_budget(cfg: ExperimentConfig, budget=None):
     master = cfg.run.master_seed
     eps = schedule.target_eps
 
-    gaps = {"sppm": [], "sgd": []}
-    for t in range(cfg.run.trials):
+    def job(t):
         rec = _one_trial(problem, noise, schedule, z0, master, t)
-        gaps["sppm"].append(rec.best_gap)
-        sgd_stream = RngStream(master).child("sgd-trial", t)
-        x_final = sgd_baseline(problem, noise, z0, budget, sgd_stream)
-        gaps["sgd"].append(evaluate_phi(problem, x_final) - problem.phi_star)
+        x_final = sgd_baseline(problem, noise, z0, budget, RngStream(master).child("sgd-trial", t))
+        return rec.best_gap, evaluate_phi(problem, x_final) - problem.phi_star
 
+    gaps = zip(*_trials(cfg, job))
     rows = []
-    for method, samples in (("sppm", needed), ("sgd", budget)):
-        g = np.asarray(gaps[method])
+    for (method, samples), g in zip((("sppm", needed), ("sgd", budget)), gaps):
+        g = np.asarray(g)
         failures = int(np.sum(g > eps))
         lo, hi = wilson_interval(failures, cfg.run.trials)
         p50, p90, p95, p99 = np.percentile(g, [50, 90, 95, 99])
@@ -257,48 +258,14 @@ def compare_budget(cfg: ExperimentConfig, budget=None):
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
-    return {
-        "lambda": schedule.lam,
-        "alpha": schedule.alpha,
-        "inner_iters": schedule.inner_iters,
-        "candidates_per_iter": schedule.candidates_per_iter,
-        "rge_batch": schedule.rge_batch,
-        "outer_iters": schedule.outer_iters,
-        "eps_k": schedule.eps_k,
-        "tau": schedule.tau,
-        "target_eps": schedule.target_eps,
-        "target_p": schedule.target_p,
-        "feasible": schedule.feasible,
-        "mode": schedule.mode,
-        "diagnostics": {name: list(pair) for name, pair in schedule.diagnostics.items()},
-        "total_samples": total_samples(schedule),
-    }
+    out = asdict(schedule)
+    out["lambda"] = out.pop("lam")
+    out["total_samples"] = total_samples(schedule)
+    return out
 
 
 def report_to_dict(report: TrialReport) -> dict:
-    return {
-        "trials": report.trials,
-        "failures": report.failures,
-        "failure_rate": report.failure_rate,
-        "ci_lo": report.ci_lo,
-        "ci_hi": report.ci_hi,
-        "samples_per_trial": report.samples_per_trial,
-        "master_seed": report.master_seed,
-        "schedule": schedule_to_dict(report.schedule),
-        "records": [
-            {
-                "trial": r.trial,
-                "seed": r.seed,
-                "best_k": r.best_k,
-                "best_gap": r.best_gap,
-                "failed": r.failed,
-                "samples": r.samples,
-                "wall_ms": r.wall_ms,
-            }
-            for r in report.records
-        ],
-        "wall_ms_total": report.wall_ms_total,
-    }
+    return {**asdict(report), "schedule": schedule_to_dict(report.schedule)}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -308,42 +275,42 @@ def _write_json(path: Path, payload: dict) -> None:
         raise OSError(f"cannot write {path}: {exc}") from None
 
 
-TRIALS_COLUMNS = ["trial", "seed", "best_k", "best_gap", "failed", "samples", "wall_ms"]
-TRACE_COLUMNS = ["k", "phi_wbar", "gap", "dist_z_to_opt", "samples_cum"]
-COMPARISON_COLUMNS = [
-    "method", "trials", "failure_rate", "ci_lo", "ci_hi",
-    "gap_p50", "gap_p90", "gap_p95", "gap_p99", "samples",
-]
+def _write_csv(path: Path, header, rows) -> None:
+    """One header line, then one line per row: floats as repr, bools as 0/1."""
+    try:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(
+                    repr(v) if isinstance(v, float) else int(v) if isinstance(v, bool) else v
+                    for v in row
+                )
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from None
+
+
+def _out_dir(out_dir) -> Path:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def emit_report(report: TrialReport, out_dir) -> list:
     """Write summary.json, trials.csv, schedule.json; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = out / "summary.json"
+    out = _out_dir(out_dir)
+    summary, trials, schedule = out / "summary.json", out / "trials.csv", out / "schedule.json"
     _write_json(summary, report_to_dict(report))
-    schedule = out / "schedule.json"
     _write_json(schedule, schedule_to_dict(report.schedule))
-    trials = out / "trials.csv"
-    try:
-        with trials.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRIALS_COLUMNS)
-            for r in report.records:
-                writer.writerow(
-                    [r.trial, r.seed, r.best_k, repr(r.best_gap), int(r.failed), r.samples, repr(r.wall_ms)]
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write {trials}: {exc}") from None
+    _write_csv(trials, [f.name for f in fields(TrialRecord)], map(astuple, report.records))
     return [summary, trials, schedule]
 
 
 def emit_run(problem: CompositeProblem, schedule: Schedule, record: RunRecord, out_dir) -> list:
     """Write run.json and the per-iteration trace.csv for one run."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     best_k, best_w = select_best(problem, record)
-    run_path = out / "run.json"
+    run_path, trace = out / "run.json", out / "trace.csv"
     _write_json(
         run_path,
         {
@@ -354,40 +321,17 @@ def emit_run(problem: CompositeProblem, schedule: Schedule, record: RunRecord, o
             "schedule": schedule_to_dict(schedule),
         },
     )
-    trace = out / "trace.csv"
+    rows = []
     cum = 0
-    try:
-        with trace.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for k, ((z, w), used) in enumerate(
-                zip(record.iterates, record.per_iter_samples), start=1
-            ):
-                cum += used
-                phi_w = evaluate_phi(problem, w)
-                dist = float(np.linalg.norm(z - problem.x_star))
-                writer.writerow(
-                    [k, repr(phi_w), repr(phi_w - problem.phi_star), repr(dist), cum]
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write {trace}: {exc}") from None
+    for k, ((z, w), used) in enumerate(zip(record.iterates, record.per_iter_samples), start=1):
+        cum += used
+        phi_w = evaluate_phi(problem, w)
+        rows.append((k, phi_w, phi_w - problem.phi_star, float(np.linalg.norm(z - problem.x_star)), cum))
+    _write_csv(trace, ["k", "phi_wbar", "gap", "dist_z_to_opt", "samples_cum"], rows)
     return [run_path, trace]
 
 
 def emit_comparison(rows, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "comparison.csv"
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=COMPARISON_COLUMNS)
-            writer.writeheader()
-            for row in rows:
-                formatted = {
-                    key: repr(value) if isinstance(value, float) else value
-                    for key, value in row.items()
-                }
-                writer.writerow(formatted)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from None
+    path = _out_dir(out_dir) / "comparison.csv"
+    _write_csv(path, list(rows[0]), (row.values() for row in rows))
     return path

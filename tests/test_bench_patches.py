@@ -6,13 +6,14 @@ run."""
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 from sppm import booster, driver, harness, noise, problems, regularizers, rng, selection
-from sppm.config import parse_config
+from sppm.config import load_config, parse_config
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """\
 problem.kind = {kind}
@@ -37,9 +38,11 @@ run.trials = 2
 """
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    """perfbench/<name>.py, loaded by path as module perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
 
@@ -57,7 +60,7 @@ def _owners(modules):
 
 
 def test_benchmark_patches_install_and_restore():
-    spans = _load_spans()
+    spans = _load("spans")
     modules = SimpleNamespace(
         harness=harness, driver=driver, booster=booster, selection=selection,
         problems=problems, noise=noise, rng=rng, regularizers=regularizers,
@@ -82,3 +85,26 @@ def test_benchmark_patches_install_and_restore():
         now = vars(owner)
         for attr, value in saved.items():
             assert now[attr] is value, f"{owner.__name__}.{attr} not restored"
+
+
+def test_benchmark_configs_parse_with_their_overrides():
+    workloads = _load("workloads")
+    cfgs = {
+        name: parse_config(workloads.config_text(ROOT, w, workloads.block_seed(7, 1), 1))
+        for name, w in workloads.WORKLOADS.items()
+    }
+    assert set(cfgs) == {"heavy_tail", "finite_sum_boost", "sgd_compare"}
+    for name, cfg in cfgs.items():
+        assert (cfg.run.master_seed, cfg.run.trials, cfg.run.parallelism) == (7001, 1, 1), name
+
+    heavy = workloads.WORKLOADS["heavy_tail"]
+    ref = parse_config(workloads.config_text(
+        ROOT, heavy, workloads.block_seed(7, 0), heavy.reference_trials, heavy.reference_parallelism))
+    assert (ref.run.trials, ref.run.parallelism) == (2, 2)
+
+    boost = cfgs["finite_sum_boost"].algo
+    assert (boost.candidates, boost.rge_batch) == (288, 3000)
+
+    base = load_config(str(ROOT / workloads.WORKLOADS["sgd_compare"].config))
+    assert cfgs["sgd_compare"].algo.eps == 8.0 * base.algo.eps
+    assert cfgs["heavy_tail"].algo.eps == base.algo.eps

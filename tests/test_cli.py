@@ -111,6 +111,16 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["derive", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("line", ["problem.radius = inf", "noise.sigma = nan", "algo.auto.eps = nan"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    text = "".join(l for l in SMALL.splitlines(keepends=True) if not l.startswith(key + " "))
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text(text + line + "\n", encoding="utf-8")
+    assert main(["derive", "--config", str(path)]) == 2
+    assert f"{key}: must be finite" in capsys.readouterr().err
+
+
 def test_seed_env_override(cfg_path, tmp_path, monkeypatch, capsys):
     out_a = tmp_path / "a"
     monkeypatch.setenv("SPPM_SEED", "99")

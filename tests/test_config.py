@@ -1,7 +1,14 @@
+from dataclasses import fields
+
 import pytest
 
 from sppm.config import (
+    _SCHEMA,
+    AlgoSpec,
     ExperimentConfig,
+    NoiseSpec,
+    ProblemSpec,
+    RunSpec,
     load_config,
     parse_config,
     serialize_config,
@@ -109,6 +116,67 @@ def test_candidate_parallelism_key_rejected():
     # the rows of one inner recursion.
     with pytest.raises(ConfigError, match="unknown key 'run.candidate_parallelism'"):
         parse_config(BASE + "run.candidate_parallelism = true\n")
+
+
+@pytest.mark.parametrize("key", ["algo.factor.tau", "algo.factor.boost", "algo.factor.hoeffding"])
+def test_factor_keys_rejected(key):
+    # The practical-mode factors are fixed (driver.PRACTICAL_FACTORS).
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(BASE + f"{key} = 1.0\n")
+
+
+FLOAT_KEYS = [
+    "problem.mu", "problem.L", "problem.radius", "problem.l1_weight",
+    "noise.sigma", "noise.nu", "algo.auto.eps", "algo.auto.p",
+    "algo.lambda", "algo.alpha",
+]
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_values_rejected(key, raw):
+    kept = [line for line in BASE.splitlines() if not line.startswith(key + " ")]
+    text = "\n".join(kept + [f"{key} = {raw}"]) + "\n"
+    with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+        parse_config(text)
+
+
+def test_each_spec_field_has_exactly_one_key():
+    specs = {"problem": ProblemSpec, "noise": NoiseSpec, "algo": AlgoSpec, "run": RunSpec}
+    want = sorted((section, f.name) for section, spec in specs.items() for f in fields(spec))
+    got = sorted((section, attr) for section, attr, *_ in _SCHEMA.values())
+    assert got == want
+    assert all(key.startswith(section + ".") for key, (section, *_) in _SCHEMA.items())
+
+
+def test_required_keys_are_fields_without_defaults():
+    required = [key for key, (*_, req) in _SCHEMA.items() if req]
+    assert required == [
+        "problem.kind", "problem.dim", "problem.mu", "problem.L", "problem.instance_seed",
+        "noise.family", "noise.sigma", "algo.auto.eps", "algo.auto.p", "run.master_seed",
+    ]
+
+
+def test_serialized_key_order_is_pinned():
+    assert serialize_config(parse_config(BASE)) == """\
+problem.kind = quadratic-ball
+problem.dim = 10
+problem.mu = 1.0
+problem.L = 4.0
+problem.radius = 0.5
+problem.l1_weight = 0.01
+problem.components = 200
+problem.instance_seed = 20260819
+noise.family = student_t
+noise.sigma = 1.0
+noise.nu = 3.0
+algo.auto.eps = 0.02
+algo.auto.p = 0.05
+algo.mode = practical
+run.master_seed = 7
+run.trials = 4
+run.parallelism = 1
+"""
 
 
 def test_load_config_reads_file(tmp_path):

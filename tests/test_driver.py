@@ -87,6 +87,19 @@ def test_override_invariants_enforced():
         derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1, overrides={"bogus": 3})
 
 
+@pytest.mark.parametrize("name, value, match", [
+    ("D", math.inf, "D must be finite [(]dom h must be bounded[)]"),
+    ("sigma", math.inf, "sigma must be finite"),
+    ("sigma", math.nan, "sigma must be finite"),
+    ("mu", math.nan, "mu must be finite"),
+    ("target_eps", math.nan, "target_eps must be finite"),
+])
+def test_non_finite_arguments_rejected(name, value, match):
+    args = {"mu": 1.0, "L": 4.0, "sigma": 1.0, "D": 1.0, "target_eps": 0.1, "target_p": 0.1}
+    with pytest.raises(ValidationError, match=match):
+        derive_schedule(**{**args, name: value})
+
+
 def test_lam_default_and_override():
     s = derive_schedule(2.0, 8.0, 1.0, 1.0, 0.1, 0.1)
     assert s.lam == pytest.approx(1.5)  # 3/mu

@@ -161,8 +161,10 @@ def test_reports_identical_across_parallelism_and_reruns(monkeypatch):
                 # 13 values: 2-step chunks, so multi-chunk plans run on the pool
                 m.setattr(problems, "PLAN_VALUES", 13)
             par = report_to_dict(run_trials(small_cfg(text, **{"run.parallelism": 4})))
+            par_rows = compare_budget(small_cfg(text, **{"run.parallelism": 3}))
         assert strip_wall(base) == strip_wall(rerun)
         assert strip_wall(base) == strip_wall(par)
+        assert compare_budget(small_cfg(text)) == par_rows
 
 
 def test_emit_report_files(tmp_path):
@@ -226,3 +228,17 @@ def test_schedule_overrides_flow_through():
     assert schedule.rge_batch == 2
     assert schedule.outer_iters == 3
     assert schedule.mode == "practical"
+
+
+def test_schedule_dict_keys_follow_schedule_fields():
+    from dataclasses import fields
+
+    from sppm.driver import Schedule
+    from sppm.harness import schedule_to_dict
+
+    cfg = small_cfg()
+    schedule = build_schedule(cfg, build_problem(cfg))
+    names = {"lambda" if f.name == "lam" else f.name for f in fields(Schedule)}
+    out = schedule_to_dict(schedule)
+    assert set(out) == names | {"total_samples"}
+    assert out["lambda"] == schedule.lam
