@@ -2,18 +2,18 @@
 
 Each inner solve lands close to the anchored subproblem's solution only
 with constant probability; boosting runs two Euclidean selection passes
-over the candidate w's and z's, robustly estimates the gradient at one
-surviving candidate, runs a third pass under the linearized-gap metric
-built from that estimate, and returns the smallest index admissible in
-all three.  Each pass keeps more than 2n/3 indices, so the triple
-intersection is nonempty by pigeonhole and the failure probability
-drops geometrically in n.
+over the candidates' averaged iterates W and last iterates Z (the
+(n, dim) row matrices pss_run_batch returns), robustly estimates the
+gradient at one surviving candidate, runs a third pass under the
+linearized-gap metric built from that estimate, and returns the
+smallest index admissible in all three.  Each pass keeps more than
+2n/3 indices, so the triple intersection is nonempty by pigeonhole and
+the failure probability drops geometrically in n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,26 +21,23 @@ from .errors import ValidationError
 from .problems import CompositeProblem
 from .pss import CandidatePair
 from .rng import RngStream
-from .selection import DhParams, EuclideanMetric, make_dh, rge, sts
+from .selection import EuclideanMetric, make_dh, rge, sts
 
 
 @dataclass(frozen=True)
 class PbConfig:
-    """Booster parameters: RGE batch size q, prox stepsize lam, number
-    of candidates n, and the prox center z_bar they were all generated
-    from.  Whether q clears its variance-dependent floor is a schedule
-    concern, checked where schedules are built."""
+    """Booster parameters: RGE batch size q, prox stepsize lam, and the
+    prox center z_bar the candidates were all generated from.  Whether
+    q clears its variance-dependent floor is a schedule concern, checked
+    where schedules are built."""
 
     q: int
     lam: float
-    n: int
     z_bar: np.ndarray
 
     def __post_init__(self):
         if self.q < 1:
             raise ValidationError(f"q must be >= 1, got {self.q}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.lam <= 0.0:
             raise ValidationError(f"lam must be positive, got {self.lam}")
         object.__setattr__(self, "z_bar", np.asarray(self.z_bar, dtype=float))
@@ -72,22 +69,23 @@ def q_floor(lam: float, mu: float, sigma: float, L: float, tau: float) -> int:
 
 
 def pb(
-    pairs: Sequence[CandidatePair],
+    Z: np.ndarray,
+    W: np.ndarray,
     cfg: PbConfig,
     problem: CompositeProblem,
     noise,
     stream: RngStream,
 ) -> PbOutcome:
-    """Select one pair; consumes exactly n*q oracle samples (the RGE call).
+    """Select one of the n candidates whose last and averaged iterates
+    are the rows of Z and W; consumes exactly n*q oracle samples (the
+    RGE call).  `selected` holds copies of the winning rows.
 
     All tie-breaking is smallest-index, so the outcome is a pure
-    function of (pairs, cfg, problem, noise, stream).
+    function of (Z, W, cfg, problem, noise, stream).
     """
-    n = len(pairs)
-    if n != cfg.n:
-        raise ValidationError(f"cfg.n={cfg.n} but got {n} pairs")
-    W = np.stack([p.w for p in pairs])
-    Z = np.stack([p.z for p in pairs])
+    if Z.ndim != 2 or Z.shape != W.shape:
+        raise ValidationError(f"Z and W must be (n, dim) matrices of one shape, got {Z.shape}, {W.shape}")
+    n = len(Z)
     euclid = EuclideanMetric()
     j_w = sts(W, euclid)
     j_z = sts(Z, euclid)
@@ -96,14 +94,14 @@ def pb(
         raise RuntimeError("internal: selection passes have empty intersection")
     anchor = W[both[0]]
     s_bar = rge(problem, noise, anchor, n, cfg.q, stream.child("rge"))
-    metric = make_dh(DhParams(h=problem.h, s_bar=s_bar, w_tilde=anchor, z_bar=cfg.z_bar, lam=cfg.lam))
+    metric = make_dh(problem.h, s_bar, anchor, cfg.z_bar, cfg.lam)
     j_gap = sts(W, metric)
     final = np.intersect1d(both, j_gap, assume_unique=True)
     if final.size == 0:
         raise RuntimeError("internal: selection passes have empty intersection")
     idx = int(final[0])
     return PbOutcome(
-        selected=pairs[idx],
+        selected=CandidatePair(z=np.array(Z[idx]), w=np.array(W[idx])),
         selected_index=idx,
         index_sets=(j_w, j_z, j_gap),
         samples_used=n * cfg.q,

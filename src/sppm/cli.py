@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import props
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_seed, load_config
 from .errors import ConfigError, InfeasibleScheduleError, ValidationError
 from .harness import (
     build_problem,
@@ -39,9 +39,10 @@ def _load(path: str) -> ExperimentConfig:
     seed = os.environ.get("SPPM_SEED")
     if seed is not None:
         try:
-            cfg = replace(cfg, run=replace(cfg.run, master_seed=int(seed)))
+            value = int(seed)
         except ValueError:
             raise ConfigError(f"SPPM_SEED must be an integer, got {seed!r}") from None
+        cfg = replace(cfg, run=replace(cfg.run, master_seed=check_seed("SPPM_SEED", value)))
     return cfg
 
 

@@ -29,6 +29,7 @@ from typing import Optional, get_args, get_type_hints
 from .errors import ConfigError
 from .generate import KINDS
 from .noise import FAMILIES
+from .rng import SEED_RANGE
 
 NOISE_CHOICES = FAMILIES + ("finite_sum",)
 MODES = ("verbatim", "practical")
@@ -141,8 +142,17 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def check_seed(key: str, value: int) -> int:
+    """value, or ConfigError naming key when it lies outside SEED_RANGE."""
+    if value not in SEED_RANGE:
+        raise ConfigError(f"{key} must lie in [-2**63, 2**63), got {value}")
+    return value
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     p, nz, algo, run = cfg.problem, cfg.noise, cfg.algo, cfg.run
+    check_seed("problem.instance_seed", p.instance_seed)
+    check_seed("run.master_seed", run.master_seed)
     if p.kind not in KINDS:
         raise ConfigError(f"problem.kind must be one of {KINDS}, got {p.kind!r}")
     if p.dim < 2:

@@ -234,10 +234,10 @@ def sppm_run(
 
     Candidate solves inside an iteration are independent, each on its
     own substream ("pss", j), and all n advance as the rows of one
-    pss_run_batch recursion.  A non-finite z or w from the inner solves
-    raises NumericError naming the outer step and the first bad
-    candidate.  On failure the partial record is attached to the
-    exception as exc.partial_record.
+    pss_run_batch recursion, whose (Z, W) row matrices go to pb as they
+    are.  A non-finite z or w from the inner solves raises NumericError
+    naming the outer step and the first bad candidate.  On failure the
+    partial record is attached to the exception as exc.partial_record.
     """
     z0 = np.asarray(z0, dtype=float)
     if not problem.h.contains(z0):
@@ -260,20 +260,15 @@ def sppm_run(
         for k in range(1, schedule.outer_iters + 1):
             k_stream = stream.child("outer", k)
             cfg = PssConfig(x0=z, alpha=schedule.alpha, lam=schedule.lam, inner_iters=schedule.inner_iters)
-            pairs = pss_run_batch(problem, noise, cfg, [k_stream.child("pss", j) for j in range(n)])
-            finite = np.isfinite(np.array([p.z for p in pairs] + [p.w for p in pairs])).all(axis=1)
+            Z, W = pss_run_batch(problem, noise, cfg, [k_stream.child("pss", j) for j in range(n)])
+            finite = np.isfinite(Z).all(1) & np.isfinite(W).all(1)
             if not finite.all():
-                bad = int(np.argmin(finite[:n] & finite[n:]))
+                bad = int(np.argmin(finite))
                 raise NumericError(f"outer step {k}: candidate {bad} produced a non-finite iterate")
-            outcome = pb(
-                pairs,
-                PbConfig(q=schedule.rge_batch, lam=schedule.lam, n=n, z_bar=z),
-                problem,
-                noise,
-                k_stream.child("pb"),
-            )
+            pcfg = PbConfig(q=schedule.rge_batch, lam=schedule.lam, z_bar=z)
+            outcome = pb(Z, W, pcfg, problem, noise, k_stream.child("pb"))
             z = outcome.selected.z
-            iterates.append((np.array(z), np.array(outcome.selected.w)))
+            iterates.append((z, outcome.selected.w))
             per_iter.append(n * (schedule.inner_iters + 1) + outcome.samples_used)
     except Exception as exc:
         exc.partial_record = record()

@@ -29,10 +29,10 @@ from .problems import (
     sample_gradient_batch,
     shifted_value,
 )
-from .pss import CandidatePair, PssConfig, alpha_floor, epsilon_k_bound, pss_run, pss_run_batch
+from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run, pss_run_batch
 from .regularizers import Box, L1, L1Box, L2Ball, Zero, prox_map
 from .rng import RngStream
-from .selection import DhParams, EuclideanMetric, bregman_dh, make_dh, rge, sts
+from .selection import EuclideanMetric, bregman_dh, make_dh, rge, sts
 
 # Reference setup: quadratic over a ball, d = 10, mu = 1, L = 4,
 # domain diameter 1, prox stepsize 3, unit noise.
@@ -69,12 +69,12 @@ def _gaussian(sigma=REF_SIGMA):
     return NoiseModel(family="gaussian", sigma=sigma)
 
 
-def pair_event_lhs(problem, center, lam, z_hat, phi_lam_hat, pair) -> float:
+def pair_event_lhs(problem, center, lam, z_hat, phi_lam_hat, z, w) -> float:
     """Left side of the per-pair guarantee: shifted-objective gap of w
     plus the weighted squared distance of z from the exact prox point."""
     coeff = (1.0 + lam * problem.mu) / (lam * (2.0 + lam * problem.mu))
-    gap = shifted_value(problem, pair.w, center, lam) - phi_lam_hat
-    return gap + coeff * float(np.sum((z_hat - pair.z) ** 2))
+    gap = shifted_value(problem, w, center, lam) - phi_lam_hat
+    return gap + coeff * float(np.sum((z_hat - z) ** 2))
 
 
 def _interior(problem, gen, scale=1.0):
@@ -213,10 +213,10 @@ def check_replay_determinism():
     g2 = rge(problem, noise, problem.h.center, 5, 3, stream.child("rge"))
     if not np.array_equal(g1, g2):
         return False, "rge differs across replays"
-    pairs = pss_run_batch(problem, noise, cfg, [stream.child("cand", j) for j in range(5)])
-    pcfg = PbConfig(q=3, lam=REF_LAM, n=5, z_bar=problem.h.center)
-    o1 = pb(pairs, pcfg, problem, noise, stream.child("pb"))
-    o2 = pb(pairs, pcfg, problem, noise, stream.child("pb"))
+    Z, W = pss_run_batch(problem, noise, cfg, [stream.child("cand", j) for j in range(5)])
+    pcfg = PbConfig(q=3, lam=REF_LAM, z_bar=problem.h.center)
+    o1 = pb(Z, W, pcfg, problem, noise, stream.child("pb"))
+    o2 = pb(Z, W, pcfg, problem, noise, stream.child("pb"))
     same = o1.selected_index == o2.selected_index and np.array_equal(o1.selected.w, o2.selected.w)
     return same, "batch draws, inner solves, rge, and pb all replay bit-identically"
 
@@ -255,8 +255,8 @@ def check_pss_accounting(I: int = 37):
     noise = CountingNoise(_gaussian())
     cfg = PssConfig(x0=problem.h.center, alpha=alpha_floor(I, REF_LAM, problem.L),
                     lam=REF_LAM, inner_iters=I)
-    out = pss_run(problem, noise, cfg, RngStream(106).child("acct"))
-    ok = noise.draws == I + 1 and out.samples_used == I + 1
+    pss_run(problem, noise, cfg, RngStream(106).child("acct"))
+    ok = noise.draws == I + 1
     return ok, f"counted {noise.draws} draws for I = {I} (want {I + 1})"
 
 
@@ -314,9 +314,9 @@ def check_pss_gap_nonnegative(runs: int = 200, I: int = 25):
     cfg = PssConfig(x0=center, alpha=alpha_floor(I, REF_LAM, problem.L), lam=REF_LAM,
                     inner_iters=I)
     worst = math.inf
-    outs = pss_run_batch(problem, noise, cfg, [RngStream(109).child("gap", t) for t in range(runs)])
-    for t, out in enumerate(outs):
-        worst = min(worst, shifted_value(problem, out.w, center, REF_LAM) - base)
+    _, W = pss_run_batch(problem, noise, cfg, [RngStream(109).child("gap", t) for t in range(runs)])
+    for t, w in enumerate(W):
+        worst = min(worst, shifted_value(problem, w, center, REF_LAM) - base)
         if worst < -1e-8:
             return False, f"negative gap {worst:.3e} at run {t}"
     return True, f"{runs} runs, smallest gap {worst:.3e}"
@@ -331,8 +331,8 @@ def mean_gap_stats(I: int, runs: int, seed: int = 110):
     base = shifted_value(problem, z_hat, center, REF_LAM)
     a = alpha_floor(I, REF_LAM, problem.L)
     cfg = PssConfig(x0=center, alpha=a, lam=REF_LAM, inner_iters=I)
-    outs = pss_run_batch(problem, noise, cfg, [RngStream(seed).child(f"gap{I}", t) for t in range(runs)])
-    gaps = np.array([shifted_value(problem, out.w, center, REF_LAM) - base for out in outs])
+    _, W = pss_run_batch(problem, noise, cfg, [RngStream(seed).child(f"gap{I}", t) for t in range(runs)])
+    gaps = np.array([shifted_value(problem, w, center, REF_LAM) - base for w in W])
     bound = epsilon_k_bound(a, I, REF_LAM, REF_SIGMA, problem.diameter, problem.L)
     return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(runs)), bound
 
@@ -466,16 +466,12 @@ def check_rge_concentration(trials: int = 2000, n: int = 144, q: int = 16, delta
 
 # ------------------------------------------------------------------- pb
 
-def _pairs_at(points):
-    return [CandidatePair(z=np.array(p), w=np.array(p), samples_used=1) for p in points]
-
-
 def check_pb_identical_pairs():
     problem = reference_problem()
     point = problem.h.center + 0.05
-    pairs = _pairs_at([point] * 6)
-    cfg = PbConfig(q=2, lam=REF_LAM, n=6, z_bar=problem.h.center)
-    out = pb(pairs, cfg, problem, _gaussian(), RngStream(117))
+    P = np.tile(point, (6, 1))
+    cfg = PbConfig(q=2, lam=REF_LAM, z_bar=problem.h.center)
+    out = pb(P, P, cfg, problem, _gaussian(), RngStream(117))
     full = all(len(js) == 6 for js in out.index_sets)
     ok = full and np.array_equal(out.selected.w, point)
     return ok, "identical pairs give full index sets and the common point"
@@ -497,9 +493,9 @@ def check_pb_noiseless_outlier():
     center = np.ones(d)
     z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
     far = z_hat + 10.0 * np.array([1.0, 0, 0, 0])
-    pairs = _pairs_at([z_hat, z_hat, z_hat, far])
-    cfg = PbConfig(q=1, lam=REF_LAM, n=4, z_bar=center)
-    out = pb(pairs, cfg, problem, NoiseModel(family="gaussian", sigma=0.0), RngStream(118))
+    P = np.stack([z_hat, z_hat, z_hat, far])
+    cfg = PbConfig(q=1, lam=REF_LAM, z_bar=center)
+    out = pb(P, P, cfg, problem, NoiseModel(family="gaussian", sigma=0.0), RngStream(118))
     ok = out.selected_index in (0, 1, 2) and all(3 not in js for js in out.index_sets)
     return ok, f"selected index {out.selected_index}; outlier excluded from all passes"
 
@@ -511,9 +507,8 @@ def check_pb_structure(n: int = 30, q: int = 3):
     cfg = PssConfig(x0=center, alpha=alpha_floor(20, REF_LAM, problem.L), lam=REF_LAM,
                     inner_iters=20)
     stream = RngStream(119).child("struct")
-    pairs = pss_run_batch(problem, _gaussian(), cfg, [stream.child("pss", j) for j in range(n)])
-    out = pb(pairs, PbConfig(q=q, lam=REF_LAM, n=n, z_bar=center), problem, noise,
-             stream.child("pb"))
+    Z, W = pss_run_batch(problem, _gaussian(), cfg, [stream.child("pss", j) for j in range(n)])
+    out = pb(Z, W, PbConfig(q=q, lam=REF_LAM, z_bar=center), problem, noise, stream.child("pb"))
     sizes = [len(js) for js in out.index_sets]
     ok = (
         all(size > 2 * n / 3 for size in sizes)
@@ -554,8 +549,7 @@ def check_metric_comparison(points: int = 1000):
     for _ in range(points):
         w_tilde = _interior(problem, gen)
         s_bar = problem.grad_f(w_tilde) + 0.3 * gen.standard_normal(problem.dim)
-        metric = make_dh(DhParams(h=problem.h, s_bar=s_bar, w_tilde=w_tilde,
-                                  z_bar=center, lam=REF_LAM))
+        metric = make_dh(problem.h, s_bar, w_tilde, center, REF_LAM)
         x = _interior(problem, gen)
         dh = metric.eval(x, z_hat)
         breg = bregman_dh(problem.h, x, z_hat, g)
@@ -581,17 +575,16 @@ def planted_pb_trial(problem, z_hat, phi_lam_hat, center, tau, n, q, stream):
     kappa = problem.kappa()
     threshold = 12.0 * tau + 57.0 * kappa * tau
 
-    def shrink_to_event(point_w, point_z):
+    def shrink_to_event(point_z, point_w):
         for _ in range(80):
-            pair = CandidatePair(z=point_z, w=point_w, samples_used=1)
-            if pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, pair) <= 0.9 * tau:
-                return pair
+            if pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, point_z, point_w) <= 0.9 * tau:
+                return point_z, point_w
             point_w = inward + 0.5 * (point_w - inward)
             point_z = inward + 0.5 * (point_z - inward)
         raise RuntimeError("planting failed to shrink into the event")
 
     scale = 0.5 * math.sqrt(REF_LAM * tau)
-    pairs = []
+    rows = []
     for i in range(n):
         if i < n_good:
             u = gen.standard_normal(problem.dim)
@@ -600,20 +593,17 @@ def planted_pb_trial(problem, z_hat, phi_lam_hat, center, tau, n, q, stream):
             v /= np.linalg.norm(v)
             w = h.prox(inward + scale * gen.uniform() * u, 1.0)
             z = h.prox(inward + scale * gen.uniform() * v, 1.0)
-            pairs.append(shrink_to_event(w, z))
+            rows.append(shrink_to_event(z, w))
         else:
             u = 0.02 * h.radius * gen.standard_normal(problem.dim)
             bad = h.prox(far_base + u, 1.0)
-            pair = CandidatePair(z=np.array(bad), w=np.array(bad), samples_used=1)
-            lhs = pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, pair)
-            if lhs <= 1.2 * threshold:
+            if pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, bad, bad) <= 1.2 * threshold:
                 raise RuntimeError("planted far pair fails to violate the boosted bound")
-            pairs.append(pair)
+            rows.append((bad, bad))
     perm = gen.permutation(n)
-    pairs = [pairs[i] for i in perm]
-    out = pb(pairs, PbConfig(q=q, lam=REF_LAM, n=n, z_bar=center), problem,
-             _gaussian(), stream.child("pb"))
-    lhs = pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, out.selected)
+    Z, W = (np.stack(col)[perm] for col in zip(*rows))
+    out = pb(Z, W, PbConfig(q=q, lam=REF_LAM, z_bar=center), problem, _gaussian(), stream.child("pb"))
+    lhs = pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, out.selected.z, out.selected.w)
     return lhs - threshold
 
 
@@ -651,9 +641,9 @@ def check_per_call_frequency(calls: int = 2000, I: int = 50):
     threshold = tau_from_eps(eps_k)
     cfg = PssConfig(x0=center, alpha=a, lam=REF_LAM, inner_iters=I)
     hits = 0
-    pairs = pss_run_batch(problem, noise, cfg, [RngStream(123).child("call", t) for t in range(calls)])
-    for pair in pairs:
-        if pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, pair) <= threshold:
+    Z, W = pss_run_batch(problem, noise, cfg, [RngStream(123).child("call", t) for t in range(calls)])
+    for z, w in zip(Z, W):
+        if pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, z, w) <= threshold:
             hits += 1
     freq = hits / calls
     return freq >= 0.74, f"event frequency {freq:.4f} (want >= 0.74, threshold {threshold:.3f})"
@@ -678,9 +668,8 @@ def check_recursion_frequency(iterations: int = 500, n: int = 144, I: int = 25):
         z_prev = _interior(problem, gen)
         stream = RngStream(124).child("iter", t)
         cfg = PssConfig(x0=z_prev, alpha=a, lam=REF_LAM, inner_iters=I)
-        pairs = pss_run_batch(problem, noise, cfg, [stream.child("pss", j) for j in range(n)])
-        out = pb(pairs, PbConfig(q=q, lam=REF_LAM, n=n, z_bar=z_prev), problem, noise,
-                 stream.child("pb"))
+        Z, W = pss_run_batch(problem, noise, cfg, [stream.child("pss", j) for j in range(n)])
+        out = pb(Z, W, PbConfig(q=q, lam=REF_LAM, z_bar=z_prev), problem, noise, stream.child("pb"))
         w_bar, z_bar = out.selected.w, out.selected.z
         lhs = (
             evaluate_phi(problem, w_bar)

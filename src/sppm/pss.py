@@ -52,11 +52,10 @@ class PssConfig:
 
 @dataclass(frozen=True)
 class CandidatePair:
-    """One inner-solver output: last iterate z and averaged iterate w."""
+    """One candidate: last iterate z and averaged iterate w."""
 
     z: np.ndarray
     w: np.ndarray
-    samples_used: int
 
 
 def alpha_floor(inner_iters: int, lam: float, L: float) -> float:
@@ -98,9 +97,11 @@ def pss_run_batch(
     cfg: PssConfig,
     streams,
     observer=None,
-) -> list:
-    """Run len(streams) independent inner solves in lockstep, one row
-    per solve; each consumes exactly inner_iters + 1 samples.
+) -> tuple:
+    """Run len(streams) >= 1 independent inner solves in lockstep, one
+    row per solve; each consumes exactly inner_iters + 1 samples.
+    Returns (Z, W), the (n, dim) last and averaged iterates, which pb
+    takes as they are.
 
     Row j's samples are planned on substream streams[j].child("noise")
     in chunks of at most PLAN_VALUES values (see RowSampler), so a
@@ -109,14 +110,15 @@ def pss_run_batch(
     arithmetic-only.  observer(i, G, S, X, Y), if given, sees each
     step i = 1..I+1 as (n, dim) rows.
     """
+    if len(streams) == 0:
+        raise ValidationError("pss_run_batch needs at least one stream")
     _check_start(problem, cfg)
     count = cfg.inner_iters + 1
     sampler = RowSampler(problem, noise, count, [s.child("noise") for s in streams])
     a = cfg.alpha
     b = 1.0 - a
     lam = cfg.lam
-    n = len(streams)
-    X = np.tile(cfg.x0, (n, 1))
+    X = np.tile(cfg.x0, (len(streams), 1))
     x0 = cfg.x0[None, :]
     h = problem.h
     for i in range(count):
@@ -126,10 +128,7 @@ def pss_run_batch(
         Y = X if i == 0 else a * Y + b * X
         if observer is not None:
             observer(i + 1, G, S, X, Y)
-    return [
-        CandidatePair(z=np.array(X[j]), w=np.array(Y[j]), samples_used=count)
-        for j in range(n)
-    ]
+    return X, Y
 
 
 def pss_run(
@@ -146,4 +145,5 @@ def pss_run(
     if observer is not None:
         def rows(i, G, S, X, Y):
             observer(i, G[0], S[0], X[0], Y[0])
-    return pss_run_batch(problem, noise, cfg, [stream], rows)[0]
+    Z, W = pss_run_batch(problem, noise, cfg, [stream], rows)
+    return CandidatePair(z=Z[0], w=W[0])

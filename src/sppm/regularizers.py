@@ -8,7 +8,8 @@ used by the solvers:
     prox_map(h, y, t) = argmin_x  h(x) + ||x - y||^2 / (2 t)
 
 prox_rows applies the same map to each row of a matrix; the batched
-inner solver leans on it to advance many candidates per step.
+inner solver leans on it to advance many candidates per step.  Where
+one body serves both shapes, prox_rows is an alias of prox.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ class Zero:
     def prox(self, y, t):
         return np.array(y, dtype=float)
 
-    def prox_rows(self, Y, t):
-        return np.array(Y, dtype=float)
+    prox_rows = prox
 
     def contains(self, x):
         return True
@@ -125,8 +125,7 @@ class Box:
     def prox(self, y, t):
         return np.clip(y, self.lo, self.hi)
 
-    def prox_rows(self, Y, t):
-        return np.clip(Y, self.lo, self.hi)
+    prox_rows = prox
 
     def contains(self, x):
         x = np.asarray(x)
@@ -162,8 +161,7 @@ class L1:
     def prox(self, y, t):
         return _soft_threshold(y, t * self.weight)
 
-    def prox_rows(self, Y, t):
-        return _soft_threshold(Y, t * self.weight)
+    prox_rows = prox
 
     def contains(self, x):
         return True
@@ -198,8 +196,7 @@ class L1Box:
     def prox(self, y, t):
         return np.clip(_soft_threshold(y, t * self.weight), self.box.lo, self.box.hi)
 
-    def prox_rows(self, Y, t):
-        return np.clip(_soft_threshold(Y, t * self.weight), self.box.lo, self.box.hi)
+    prox_rows = prox
 
     def contains(self, x):
         return self.box.contains(x)

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
+
 _PATH_SEP = b"\x1f"
+
+# Master seeds and path indices are hashed as signed 64-bit words.
+SEED_RANGE = range(-(2**63), 2**63)
 
 # Reusing one Philox per thread and resetting its state is ~5x cheaper
 # than constructing a fresh bit generator per draw, and produces
@@ -27,11 +32,14 @@ _local = threading.local()
 
 def _digest(master_seed: int, path: tuple[tuple[str, int], ...]) -> bytes:
     h = hashlib.blake2b(digest_size=16)
-    h.update(int(master_seed).to_bytes(8, "little", signed=True))
-    for label, index in path:
-        h.update(_PATH_SEP)
-        h.update(label.encode())
-        h.update(int(index).to_bytes(8, "little", signed=True))
+    try:
+        h.update(int(master_seed).to_bytes(8, "little", signed=True))
+        for label, index in path:
+            h.update(_PATH_SEP)
+            h.update(label.encode())
+            h.update(int(index).to_bytes(8, "little", signed=True))
+    except OverflowError:
+        raise ValidationError(f"seed {master_seed} or an index in {path} is not signed 64-bit") from None
     return h.digest()
 
 

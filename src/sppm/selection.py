@@ -24,8 +24,6 @@ _ROW_BLOCK = 64  # bounds the (block, n, d) difference tensor
 
 @dataclass(frozen=True)
 class EuclideanMetric:
-    tag: str = "euclidean"
-
     def eval(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
 
@@ -42,33 +40,11 @@ class EuclideanMetric:
 
 
 @dataclass(frozen=True)
-class DhParams:
-    """Inputs of the linearized-gap metric: regularizer h, robust
-    gradient estimate s_bar at the anchor w_tilde, prox center z_bar,
-    prox stepsize lam."""
-
-    h: object
-    s_bar: np.ndarray
-    w_tilde: np.ndarray
-    z_bar: np.ndarray
-    lam: float
-
-    def shifted_vector(self) -> np.ndarray:
-        v = np.asarray(self.s_bar, float) + (
-            np.asarray(self.w_tilde, float) - np.asarray(self.z_bar, float)
-        ) / self.lam
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("dh shift vector is not finite")
-        return v
-
-
-@dataclass(frozen=True)
 class DhMetric:
     """d(x, y) = |h(x) - h(y) + <v, x - y>|, a pseudo-metric on dom h."""
 
     h: object
     v: np.ndarray
-    tag: str = "dh"
 
     def _potential(self, x: np.ndarray) -> float:
         hx = self.h.value(x)
@@ -92,9 +68,15 @@ class DhMetric:
         return out
 
 
-def make_dh(params: DhParams) -> DhMetric:
-    """Metric closure for one booster pass; built once, reused n^2 times."""
-    return DhMetric(h=params.h, v=params.shifted_vector())
+def make_dh(h, s_bar: np.ndarray, w_tilde: np.ndarray, z_bar: np.ndarray, lam: float) -> DhMetric:
+    """Linearized-gap metric of one booster pass, for regularizer h,
+    robust gradient estimate s_bar at the anchor w_tilde, prox center
+    z_bar and prox stepsize lam: v = s_bar + (w_tilde - z_bar) / lam.
+    Built once, reused n^2 times."""
+    v = np.asarray(s_bar, float) + (np.asarray(w_tilde, float) - np.asarray(z_bar, float)) / lam
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("dh shift vector is not finite")
+    return DhMetric(h=h, v=v)
 
 
 def sts(points, metric) -> np.ndarray:

@@ -67,7 +67,8 @@ def test_benchmark_patches_install_and_restore():
     )
     before = [(owner, dict(vars(owner))) for owner in _owners(modules)]
     tracer = spans.Tracer()
-    patches = spans.Patches(modules, tracer, lambda outcome, n: [])
+    seen_n = []  # pb's wrapper passes len(args[0]) as n: Z must be pb's first argument
+    patches = spans.Patches(modules, tracer, lambda outcome, n: seen_n.append(n) or [])
     with patches:
         assert patches._saved
         for owner, attr, original in patches._saved:
@@ -80,6 +81,7 @@ def test_benchmark_patches_install_and_restore():
     # 2 trials x 2 outer steps x 3 candidates x 7 inner steps, per config
     counts = tracer.spans()["counts"]
     assert counts["pss.row_steps"] == 2 * (2 * 2 * 3 * 7)
+    assert seen_n == [3] * (2 * 2 * 2)  # algo.candidates per pb call, 2 trials x 2 steps x 2 configs
     assert not tracer.errors
     for owner, saved in before:
         now = vars(owner)

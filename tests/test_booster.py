@@ -7,7 +7,6 @@ from sppm.booster import PbConfig, pb, q_floor, tau_from_eps
 from sppm.errors import ValidationError
 from sppm.noise import NoiseModel
 from sppm.problems import CompositeProblem
-from sppm.pss import CandidatePair
 from sppm.regularizers import Zero
 from sppm.rng import RngStream
 
@@ -22,9 +21,10 @@ def diag_quad(d=4):
     )
 
 
-def pairs_at(points):
-    return [CandidatePair(z=np.array(p, float), w=np.array(p, float), samples_used=0)
-            for p in points]
+def rows_at(points):
+    """(Z, W) with z = w = points[j] in row j."""
+    P = np.array(points, float)
+    return P, P.copy()
 
 
 def test_tau_from_eps_frozen():
@@ -44,9 +44,9 @@ def test_q_floor_frozen():
 def test_identical_pairs_select_the_common_point():
     problem = diag_quad()
     z = np.full(4, 0.1)
-    pairs = pairs_at([z] * 6)
-    cfg = PbConfig(q=2, lam=3.0, n=6, z_bar=np.zeros(4))
-    out = pb(pairs, cfg, problem, NoiseModel(family="gaussian", sigma=0.0),
+    Z, W = rows_at([z] * 6)
+    cfg = PbConfig(q=2, lam=3.0, z_bar=np.zeros(4))
+    out = pb(Z, W, cfg, problem, NoiseModel(family="gaussian", sigma=0.0),
              RngStream(51))
     assert np.array_equal(out.selected.z, z)
     for s in out.index_sets:
@@ -57,9 +57,9 @@ def test_noiseless_outlier_excluded():
     problem = diag_quad()
     good = np.full(4, 0.05)
     far = np.full(4, 10.0)
-    pairs = pairs_at([good, good, far, good])
-    cfg = PbConfig(q=2, lam=3.0, n=4, z_bar=np.zeros(4))
-    out = pb(pairs, cfg, problem, NoiseModel(family="gaussian", sigma=0.0),
+    Z, W = rows_at([good, good, far, good])
+    cfg = PbConfig(q=2, lam=3.0, z_bar=np.zeros(4))
+    out = pb(Z, W, cfg, problem, NoiseModel(family="gaussian", sigma=0.0),
              RngStream(52))
     assert out.selected_index != 2
     for s in out.index_sets:
@@ -70,36 +70,46 @@ def test_structure_sizes_and_accounting(ball_problem, counting_noise):
     gen = RngStream(53).child("pts").generator(shared=False)
     n, q = 12, 3
     pts = 0.05 * gen.standard_normal((n, ball_problem.dim))
-    pairs = pairs_at(pts)
-    cfg = PbConfig(q=q, lam=3.0, n=n,
-                   z_bar=ball_problem.h.interior_point(ball_problem.dim))
-    out = pb(pairs, cfg, ball_problem, counting_noise, RngStream(54))
+    Z, W = rows_at(pts)
+    cfg = PbConfig(q=q, lam=3.0, z_bar=ball_problem.h.interior_point(ball_problem.dim))
+    out = pb(Z, W, cfg, ball_problem, counting_noise, RngStream(54))
     assert counting_noise.draws == n * q
     assert out.samples_used == n * q
     for s in out.index_sets:
         assert 3 * len(s) > 2 * n
         assert out.selected_index in set(np.asarray(s).tolist())
-    assert any(np.array_equal(out.selected.w, p.w) for p in pairs)
+    assert any(np.array_equal(out.selected.w, w) for w in W)
 
 
 def test_pb_replay_bitwise(ball_problem):
     gen = RngStream(55).child("pts").generator(shared=False)
     pts = 0.05 * gen.standard_normal((9, ball_problem.dim))
-    pairs = pairs_at(pts)
+    Z, W = rows_at(pts)
     noise = NoiseModel(family="student_t", sigma=1.0, nu=3.0)
-    cfg = PbConfig(q=4, lam=3.0, n=9,
-                   z_bar=ball_problem.h.interior_point(ball_problem.dim))
-    a = pb(pairs, cfg, ball_problem, noise, RngStream(56))
-    b = pb(pairs, cfg, ball_problem, noise, RngStream(56))
+    cfg = PbConfig(q=4, lam=3.0, z_bar=ball_problem.h.interior_point(ball_problem.dim))
+    a = pb(Z, W, cfg, ball_problem, noise, RngStream(56))
+    b = pb(Z, W, cfg, ball_problem, noise, RngStream(56))
     assert a.selected_index == b.selected_index
     assert np.array_equal(a.selected.w, b.selected.w)
 
 
 def test_pb_validation(ball_problem):
-    pairs = pairs_at([np.zeros(ball_problem.dim)] * 3)
+    Z, W = rows_at([np.zeros(ball_problem.dim)] * 3)
     with pytest.raises(ValidationError):
-        PbConfig(q=0, lam=3.0, n=3, z_bar=np.zeros(ball_problem.dim))
-    cfg = PbConfig(q=2, lam=3.0, n=5, z_bar=np.zeros(ball_problem.dim))
-    with pytest.raises(ValidationError):
-        pb(pairs, cfg, ball_problem, NoiseModel(family="gaussian", sigma=0.0),
-           RngStream(1))
+        PbConfig(q=0, lam=3.0, z_bar=np.zeros(ball_problem.dim))
+    cfg = PbConfig(q=2, lam=3.0, z_bar=np.zeros(ball_problem.dim))
+    noiseless = NoiseModel(family="gaussian", sigma=0.0)
+    for z, w in ((Z, W[:2]), (Z, W[:, :2]), (Z[0], W[0])):
+        with pytest.raises(ValidationError):
+            pb(z, w, cfg, ball_problem, noiseless, RngStream(1))
+
+
+def test_selected_rows_are_copies(ball_problem):
+    gen = RngStream(57).child("pts").generator(shared=False)
+    Z = 0.05 * gen.standard_normal((5, ball_problem.dim))
+    W = 0.05 * gen.standard_normal((5, ball_problem.dim))
+    cfg = PbConfig(q=2, lam=3.0, z_bar=ball_problem.h.interior_point(ball_problem.dim))
+    out = pb(Z, W, cfg, ball_problem, NoiseModel(family="gaussian", sigma=1.0), RngStream(58))
+    j = out.selected_index
+    assert np.array_equal(out.selected.z, Z[j]) and np.array_equal(out.selected.w, W[j])
+    assert not np.shares_memory(out.selected.z, Z) and not np.shares_memory(out.selected.w, W)

@@ -148,6 +148,25 @@ def test_bad_seed_env_exits_2(cfg_path, monkeypatch):
     assert main(["derive", "--config", cfg_path]) == 2
 
 
+@pytest.mark.parametrize("command,key,line", [
+    ("trials", "run.master_seed", "run.master_seed = 99999999999999999999"),
+    ("trials", "problem.instance_seed", "problem.instance_seed = -9223372036854775809"),
+    ("run", "SPPM_SEED", None),
+])
+def test_seed_outside_64_bits_exits_2(tmp_path, monkeypatch, capsys, command, key, line):
+    text = SMALL
+    if line is None:
+        monkeypatch.setenv("SPPM_SEED", "-99999999999999999999")
+    else:
+        text = "".join(l for l in SMALL.splitlines(keepends=True) if not l.startswith(key + " "))
+        text += line + "\n"
+    path = tmp_path / "seed.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_verify_suite_pass_and_artifact(tmp_path, capsys):
     assert main(["verify", "--suite", "sts", "--out", str(tmp_path)]) == 0
     seen = capsys.readouterr().out

@@ -9,7 +9,6 @@ from sppm.noise import NoiseModel
 from sppm.generate import generate_problem
 from sppm.problems import CompositeProblem, exact_prox_point, shifted_value
 from sppm.pss import (
-    CandidatePair,
     PssConfig,
     alpha_floor,
     epsilon_k_bound,
@@ -50,15 +49,13 @@ def test_hand_worked_noiseless_example():
     out = pss_run(quad_1d(), NOISELESS, cfg, RngStream(0))
     assert abs(out.z[0] - 4.0 / 9.0) < 1e-12
     assert abs(out.w[0] - 2.0 / 9.0) < 1e-12
-    assert out.samples_used == 3
 
 
 def test_sample_accounting(ball_problem, counting_noise):
     x0 = ball_problem.h.interior_point(ball_problem.dim)
     a = alpha_floor(37, 3.0, ball_problem.L)
     cfg = PssConfig(x0=x0, alpha=a, lam=3.0, inner_iters=37)
-    out = pss_run(ball_problem, counting_noise, cfg, RngStream(2))
-    assert out.samples_used == 38
+    pss_run(ball_problem, counting_noise, cfg, RngStream(2))
     assert counting_noise.draws == 38
 
 
@@ -125,12 +122,12 @@ def test_batch_matches_sequential(ball_problem):
     a = alpha_floor(I, 3.0, ball_problem.L)
     cfg = PssConfig(x0=x0, alpha=a, lam=3.0, inner_iters=I)
     streams = [RngStream(12).child("pss", j) for j in range(6)]
-    batch = pss_run_batch(ball_problem, noise, cfg, streams)
+    Z, W = pss_run_batch(ball_problem, noise, cfg, streams)
+    assert Z.shape == W.shape == (6, ball_problem.dim)
     for j, s in enumerate(streams):
-        (single,) = pss_run_batch(ball_problem, noise, cfg, [s])
-        assert np.allclose(batch[j].z, single.z, atol=1e-12)
-        assert np.allclose(batch[j].w, single.w, atol=1e-12)
-        assert batch[j].samples_used == single.samples_used == I + 1
+        single = pss_run(ball_problem, noise, cfg, s)
+        assert np.allclose(Z[j], single.z, atol=1e-12)
+        assert np.allclose(W[j], single.w, atol=1e-12)
 
 
 def test_batch_matches_sequential_finite_sum(finite_sum_problem):
@@ -140,11 +137,19 @@ def test_batch_matches_sequential_finite_sum(finite_sum_problem):
     a = alpha_floor(I, 3.0, finite_sum_problem.L)
     cfg = PssConfig(x0=x0, alpha=a, lam=3.0, inner_iters=I)
     streams = [RngStream(13).child("pss", j) for j in range(4)]
-    batch = pss_run_batch(finite_sum_problem, oracle, cfg, streams)
+    Z, W = pss_run_batch(finite_sum_problem, oracle, cfg, streams)
     for j, s in enumerate(streams):
-        (single,) = pss_run_batch(finite_sum_problem, oracle, cfg, [s])
-        assert np.allclose(batch[j].z, single.z, atol=1e-12)
-        assert np.allclose(batch[j].w, single.w, atol=1e-12)
+        single = pss_run(finite_sum_problem, oracle, cfg, s)
+        assert np.allclose(Z[j], single.z, atol=1e-12)
+        assert np.allclose(W[j], single.w, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(family="student_t", sigma=1.0, nu=3.0), NOISELESS])
+def test_batch_rejects_empty_stream_list(ball_problem, noise):
+    x0 = ball_problem.h.interior_point(ball_problem.dim)
+    cfg = PssConfig(x0=x0, alpha=alpha_floor(5, 3.0, ball_problem.L), lam=3.0, inner_iters=5)
+    with pytest.raises(ValidationError, match="at least one stream"):
+        pss_run_batch(ball_problem, noise, cfg, [])
 
 
 def test_shifted_gap_nonnegative(ball_problem):
@@ -181,9 +186,9 @@ def test_batch_memory_does_not_grow_with_inner_iters():
     streams = [RngStream(15).child("pss", j) for j in range(57)]
     tracemalloc.start()
     try:
-        pairs = pss_run_batch(problem, noise, cfg, streams)
+        Z, W = pss_run_batch(problem, noise, cfg, streams)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(pairs) == 57
+    assert Z.shape == W.shape == (57, problem.dim)
     assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"

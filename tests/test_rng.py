@@ -1,10 +1,12 @@
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sppm.rng import RngStream
+from sppm.errors import ValidationError
+from sppm.rng import SEED_RANGE, RngStream
 
 
 def draws(stream, n=8):
@@ -71,3 +73,16 @@ def test_path_determinism_property(seed, label, idx):
     b = RngStream(seed).child(label, idx)
     assert a.token() == b.token()
     assert np.array_equal(draws(a, 4), draws(b, 4))
+
+
+def test_seed_and_index_outside_64_bits_rejected():
+    lo, hi = SEED_RANGE[0], SEED_RANGE[-1]
+    assert (lo, hi) == (-(2**63), 2**63 - 1)
+    for ok in (RngStream(lo), RngStream(hi), RngStream(0).child("x", lo), RngStream(0).child("x", hi)):
+        ok.token()
+        ok.generator()
+    for bad in (RngStream(hi + 1), RngStream(lo - 1), RngStream(0).child("x", hi + 1)):
+        with pytest.raises(ValidationError, match="signed 64-bit"):
+            bad.generator()
+        with pytest.raises(ValidationError):
+            bad.token()

@@ -7,7 +7,6 @@ from sppm.errors import DomainError, ValidationError
 from sppm.noise import NoiseModel
 from sppm.problems import sample_gradient_batch
 from sppm.selection import (
-    DhParams,
     EuclideanMetric,
     bregman_dh,
     make_dh,
@@ -68,11 +67,9 @@ def test_euclidean_pairwise_matches_eval():
 
 def test_dh_metric_potential_difference():
     h = L2Ball(center=np.zeros(3), radius=2.0)
-    params = DhParams(h=h, s_bar=np.array([1.0, 0.0, -1.0]),
-                      w_tilde=np.array([0.5, 0.0, 0.0]),
-                      z_bar=np.zeros(3), lam=2.0)
-    m = make_dh(params)
-    v = params.shifted_vector()
+    m = make_dh(h, s_bar=np.array([1.0, 0.0, -1.0]), w_tilde=np.array([0.5, 0.0, 0.0]),
+                z_bar=np.zeros(3), lam=2.0)
+    v = m.v
     assert np.allclose(v, [1.25, 0.0, -1.0])
     x = np.array([0.1, 0.2, 0.3])
     y = np.array([-0.3, 0.0, 0.5])
@@ -82,6 +79,11 @@ def test_dh_metric_potential_difference():
     assert D[0, 1] == pytest.approx(want, abs=1e-12)
     with pytest.raises(DomainError):
         m.eval(np.array([5.0, 0.0, 0.0]), y)
+
+
+def test_dh_rejects_non_finite_shift():
+    with pytest.raises(ValidationError, match="not finite"):
+        make_dh(Zero(), np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_bregman_dh_zero_at_anchor():
