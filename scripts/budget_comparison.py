@@ -17,9 +17,6 @@ from sppm.harness import compare_budget, emit_comparison
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COLUMNS = ("method", "trials", "failure_rate", "gap_p50", "gap_p90",
-           "gap_p95", "gap_p99", "samples")
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -34,14 +31,10 @@ def main():
     cfg = load_config(args.config)
     rows = compare_budget(cfg, budget=args.budget)
 
-    header = "  ".join(f"{c:>12}" for c in COLUMNS)
-    print(header)
+    print("  ".join(f"{c:>12}" for c in rows[0]))
     for row in rows:
-        cells = []
-        for c in COLUMNS:
-            v = row[c]
-            cells.append(f"{v:>12.5f}" if isinstance(v, float) else f"{v:>12}")
-        print("  ".join(cells))
+        print("  ".join(f"{v:>12.5f}" if isinstance(v, float) else f"{v:>12}"
+                        for v in row.values()))
 
     path = emit_comparison(rows, args.out)
     print(f"wrote {path}")

@@ -296,23 +296,16 @@ def sgd_baseline(
     """Projected stochastic proximal-gradient with steps 1/(mu*(t+1));
     consumes exactly `budget` samples and returns the final iterate.
 
-    Noise is planned in chunks of 8192 steps on substreams
-    ("sgd-chunk", c), which keeps replay determinism while paying for
-    one generator setup per chunk.
+    SGD draws one plan per trial: a GradientSampler of `budget` steps
+    on `stream`, which the harness opens as ("sgd-trial", t).
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
     x = np.asarray(x0, dtype=float)
     if not problem.h.contains(x):
         raise DomainError("x0 lies outside dom h")
-    chunk = 8192
-    t = 0
-    for c in range(math.ceil(budget / chunk)):
-        count = min(chunk, budget - c * chunk)
-        sampler = GradientSampler(problem, noise, count, stream.child("sgd-chunk", c))
-        for i in range(count):
-            s = sampler.sample(i, x)
-            step = 1.0 / (problem.mu * (t + 1))
-            x = prox_map(problem.h, x - step * s, step)
-            t += 1
+    sampler = GradientSampler(problem, noise, budget, stream)
+    for t in range(budget):
+        step = 1.0 / (problem.mu * (t + 1))
+        x = prox_map(problem.h, x - step * sampler.sample(t, x), step)
     return x

@@ -2,14 +2,15 @@
 
 f is mu-strongly convex with L-Lipschitz gradient, h is a regularizer
 with a cheap prox, and dom h has finite diameter.  Stochastic access
-goes through sample_gradient_batch (a batch of samples at one point),
-RowSampler (the inner solver's samples, one row per solve) and
-GradientSampler (the SGD baseline's samples), which plan the samples
-of sequential steps in chunks of at most PLAN_VALUES values; the
-noise argument is either an additive NoiseModel or a FiniteSumOracle
-that samples component gradients.  exact_prox_point is the
-deterministic reference solve used for ground truth, never inside the
-stochastic path.
+goes through sample_gradient_batch (a batch of samples at one point)
+and RowSampler, which plans the samples of sequential steps, one row
+per stream, in chunks of at most PLAN_VALUES values.  The inner solver
+reads a RowSampler with one row per solve; GradientSampler is the
+one-stream RowSampler that the SGD baseline reads one vector at a time,
+one plan per trial on ("sgd-trial", t).  The noise argument is either
+an additive NoiseModel or a FiniteSumOracle that samples component
+gradients.  exact_prox_point is the deterministic reference solve used
+for ground truth, never inside the stochastic path.
 """
 
 from __future__ import annotations
@@ -172,47 +173,6 @@ class _ChunkedPlan:
         self.start, self.stop = i, i + m
 
 
-class GradientSampler:
-    """Plans the stochastic part of `count` sequential gradient samples
-    on one substream, for the SGD baseline.
-
-    Additive noise vectors and finite-sum component indices do not
-    depend on the query point, so they are drawn ahead in vectorized
-    chunks (see _ChunkedPlan); that is distributionally identical to
-    drawing one per step, and it pays one generator setup per solver
-    run instead of one per sample.  sample(i, x) must be called with
-    i = 0, 1, 2, ....  Query points come from prox outputs, so this path
-    skips the domain check that sample_gradient_batch performs.
-    """
-
-    __slots__ = ("_noise_rows", "_indices", "_grad", "_component", "_plan", "count")
-
-    def __init__(self, problem: CompositeProblem, noise, count: int, stream: RngStream):
-        if count < 1:
-            raise ValidationError(f"sample count must be >= 1, got {count}")
-        self._grad = problem.grad_f
-        self.count = count
-        self._noise_rows = self._indices = self._component = self._plan = None
-        if isinstance(noise, FiniteSumOracle):
-            self._component = noise.component_grad
-            self._plan = _ChunkedPlan(noise, count, [stream], problem.dim)
-            self._indices = self._plan.buffer
-        elif noise.sigma != 0.0:
-            self._plan = _ChunkedPlan(noise, count, [stream], problem.dim)
-            self._noise_rows = self._plan.buffer
-
-    def sample(self, i: int, x: np.ndarray) -> np.ndarray:
-        """i-th planned gradient sample, evaluated at x."""
-        plan = self._plan
-        if plan is None:
-            return self._grad(x)
-        if not plan.start <= i < plan.stop:
-            plan.advance(i)
-        if self._indices is not None:
-            return self._component(x, self._indices[i - plan.start])[0]
-        return self._grad(x) + self._noise_rows[i - plan.start, 0]
-
-
 def _rows_of(grad):
     """Row-loop form of a pointwise gradient: (n, dim) -> (n, dim)."""
     return lambda X: np.array([grad(x) for x in X])
@@ -229,17 +189,21 @@ class RowSampler:
     """Gradient-sample plans for n solves advancing in lockstep.
 
     Row j's plan is drawn on streams[j] alone, so its values do not
-    depend on how many rows run beside it.  Plans stream through one
-    step-major buffer of at most PLAN_VALUES values (see _ChunkedPlan).
-    sample_rows(i, X) returns the i-th sample of every row, evaluated
-    row-wise at X, and must be called with i = 0, 1, 2, ....  A problem
-    without grad_rows, or an oracle without component_grad_rows, is
-    evaluated by a loop over the rows.
+    depend on how many rows run beside it.  Noise rows and component
+    indices do not depend on the query point, so they are drawn ahead,
+    one generator setup per stream, through one step-major buffer of at
+    most PLAN_VALUES values (see _ChunkedPlan).  sample_rows(i, X)
+    returns the i-th sample of every row, evaluated row-wise at X, and
+    must be called with i = 0, 1, 2, ....  A problem without grad_rows,
+    or an oracle without component_grad_rows, is evaluated by a loop
+    over the rows.
     """
 
     __slots__ = ("_grad_rows", "_component_rows", "_noise", "_indices", "_plan")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, streams):
+        if count < 1:
+            raise ValidationError(f"sample count must be >= 1, got {count}")
         self._grad_rows = problem.grad_rows or _rows_of(problem.grad_f)
         self._component_rows = self._noise = self._indices = self._plan = None
         if isinstance(noise, FiniteSumOracle):
@@ -259,6 +223,32 @@ class RowSampler:
         if self._indices is not None:
             return self._component_rows(X, self._indices[i - plan.start])
         return self._grad_rows(X) + self._noise[i - plan.start]
+
+
+class GradientSampler(RowSampler):
+    """The one-stream RowSampler of the SGD baseline, read one vector at
+    a time: sample(i, x) is the i-th planned gradient sample at x, with
+    i = 0, 1, 2, ....  Query points come from prox outputs, so this path
+    skips the domain check that sample_gradient_batch performs.
+    """
+
+    __slots__ = ("_grad", "_component")
+
+    def __init__(self, problem: CompositeProblem, noise, count: int, stream: RngStream):
+        super().__init__(problem, noise, count, [stream])
+        self._grad = problem.grad_f
+        self._component = None if self._indices is None else noise.component_grad
+
+    def sample(self, i: int, x: np.ndarray) -> np.ndarray:
+        """i-th planned gradient sample, evaluated at x."""
+        plan = self._plan
+        if plan is None:
+            return self._grad(x)
+        if not plan.start <= i < plan.stop:
+            plan.advance(i)
+        if self._indices is not None:
+            return self._component(x, self._indices[i - plan.start])[0]
+        return self._grad(x) + self._noise[i - plan.start, 0]
 
 
 def minimize_composite(

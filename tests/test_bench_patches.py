@@ -89,6 +89,27 @@ def test_benchmark_patches_install_and_restore():
             assert now[attr] is value, f"{owner.__name__}.{attr} not restored"
 
 
+def test_benchmark_patches_trace_the_sgd_baseline():
+    spans = _load("spans")
+    modules = SimpleNamespace(
+        harness=harness, driver=driver, booster=booster, selection=selection,
+        problems=problems, noise=noise, rng=rng, regularizers=regularizers,
+    )
+    before = [(owner, dict(vars(owner))) for owner in _owners(modules)]
+    tracer = spans.Tracer()
+    cfg = parse_config(CONFIG.format(kind="quadratic-ball", family="gaussian", sigma=1.0))
+    with spans.Patches(modules, tracer, lambda outcome, n: []):
+        rows = harness.compare_budget(cfg)
+    budget = rows[1]["samples"]
+    assert tracer.spans()["counts"]["driver.sgd_samples"] == 2 * budget  # 2 trials
+    assert 0 < tracer.plan_bytes_max <= problems.PLAN_VALUES * 8
+    assert not tracer.errors
+    for owner, saved in before:
+        now = vars(owner)
+        for attr, value in saved.items():
+            assert now[attr] is value, f"{owner.__name__}.{attr} not restored"
+
+
 def test_benchmark_configs_parse_with_their_overrides():
     workloads = _load("workloads")
     cfgs = {

@@ -171,6 +171,7 @@ def test_verify_suite_pass_and_artifact(tmp_path, capsys):
     assert main(["verify", "--suite", "sts", "--out", str(tmp_path)]) == 0
     seen = capsys.readouterr().out
     assert "PASS sts." in seen
+    assert "PASS sts.tie_inclusion: equilateral triangle selected [0, 1, 2]\n" in seen
     payload = json.loads((tmp_path / "verify_sts.json").read_text())
     assert payload["all_passed"] is True
 

@@ -21,7 +21,7 @@ from sppm.harness import build_noise, build_problem, build_schedule, initial_ite
 from sppm.noise import NoiseModel
 from sppm.problems import evaluate_phi
 from sppm.pss import alpha_floor
-from sppm.regularizers import L2Ball
+from sppm.regularizers import L2Ball, prox_map
 from sppm.rng import RngStream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -230,6 +230,28 @@ def test_sgd_baseline_accounting_and_replay(ball_problem, counting_noise):
     assert np.array_equal(out, again)
     with pytest.raises(ValidationError):
         sgd_baseline(ball_problem, counting_noise.inner, z0, 0, RngStream(64))
+
+
+def test_sgd_baseline_draws_one_plan_on_its_stream(ball_problem):
+    noise = NoiseModel(family="student_t", sigma=1.0, nu=3.0)
+    z0 = ball_problem.h.interior_point(ball_problem.dim)
+    stream = RngStream(69).child("sgd-trial", 0)
+    plan = noise.draw(stream.generator(), 50, ball_problem.dim)
+    want = z0
+    for t in range(50):
+        step = 1.0 / (ball_problem.mu * (t + 1))
+        want = prox_map(ball_problem.h, want - step * (ball_problem.grad_f(want) + plan[t]), step)
+    assert np.array_equal(sgd_baseline(ball_problem, noise, z0, 50, stream), want)
+
+
+def test_sgd_baseline_independent_of_plan_chunking(monkeypatch, ball_problem, counting_noise):
+    z0 = ball_problem.h.interior_point(ball_problem.dim)
+    want = sgd_baseline(ball_problem, counting_noise.inner, z0, 50, RngStream(70))
+    # 6 dims: 6-step chunks of 36 values, ending on a 2-step remainder
+    monkeypatch.setattr(problems, "PLAN_VALUES", 37)
+    got = sgd_baseline(ball_problem, counting_noise, z0, 50, RngStream(70))
+    assert counting_noise.draws == 50
+    assert np.array_equal(got, want)
 
 
 def test_sgd_baseline_noiseless_converges(ball_problem):

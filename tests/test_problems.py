@@ -187,6 +187,15 @@ def test_plans_are_read_in_step_order(monkeypatch, ball_problem):
         single.sample(4, X[0])
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+def test_samplers_reject_empty_plans(ball_problem, sigma):
+    noise = NoiseModel(family="gaussian", sigma=sigma)
+    with pytest.raises(ValidationError, match="sample count"):
+        RowSampler(ball_problem, noise, 0, [RngStream(23).child("cand", j) for j in range(2)])
+    with pytest.raises(ValidationError, match="sample count"):
+        GradientSampler(ball_problem, noise, 0, RngStream(23))
+
+
 def test_exact_prox_point_closed_form():
     # argmin f(x) + ||x - x0||^2/(2 lam) for quadratic f is
     # (A + I/lam)^-1 (A b + x0/lam); h = Zero keeps it unconstrained.
