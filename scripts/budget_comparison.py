@@ -12,6 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sppm.cli import EXIT_OK, report_errors
 from sppm.config import load_config
 from sppm.harness import compare_budget, emit_comparison
 
@@ -38,7 +39,8 @@ def main():
 
     path = emit_comparison(rows, args.out)
     print(f"wrote {path}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sppm.config import load_config
+from sppm.cli import EXIT_OK, report_errors
+from sppm.config import load_config, parse_config, serialize_config
 from sppm.harness import (
     build_problem,
     emit_report,
@@ -27,13 +28,18 @@ from sppm.problems import evaluate_phi
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def validated(cfg):
+    """cfg after the checks a config file goes through."""
+    return parse_config(serialize_config(cfg))
+
+
 def retarget(cfg, fraction):
     problem = build_problem(cfg)
     gap0 = evaluate_phi(problem, initial_iterate(problem)) - problem.phi_star
     eps = fraction * gap0
     print(f"cold-start gap {gap0:.6f}; retargeting eps to {eps:.6f} "
           f"({fraction:.0%} of it)")
-    return replace(cfg, algo=replace(cfg.algo, eps=eps))
+    return validated(replace(cfg, algo=replace(cfg.algo, eps=eps)))
 
 
 def main():
@@ -48,7 +54,7 @@ def main():
 
     cfg = load_config(args.config)
     if args.trials is not None:
-        cfg = replace(cfg, run=replace(cfg.run, trials=args.trials))
+        cfg = validated(replace(cfg, run=replace(cfg.run, trials=args.trials)))
     if args.retarget is not None:
         cfg = retarget(cfg, args.retarget)
 
@@ -75,7 +81,8 @@ def main():
 
     for path in emit_report(report, args.out):
         print(f"wrote {path}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

@@ -122,11 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def report_errors(fn, *args) -> int:
+    """fn(*args), with library errors printed to stderr and mapped to the
+    exit codes above; the experiment scripts share it."""
     try:
-        return args.func(args)
+        return fn(*args)
     except InfeasibleScheduleError as exc:
         print(f"infeasible schedule: {exc}", file=sys.stderr)
         if exc.schedule is not None:
@@ -138,6 +138,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    return report_errors(args.func, args)
 
 
 if __name__ == "__main__":

@@ -140,15 +140,18 @@ def _ridge_l1_box(spec, gen) -> CompositeProblem:
     def grad_rows(X):
         return X @ M - Aty  # M symmetric
 
+    # take() gathers rows several times faster than fancy indexing.
     def component_grad(x, idx):
-        rows = A[idx]
-        resid = rows @ x - y[idx]
-        return rows * resid[:, None] + ridge * x[None, :]
+        rows = A.take(idx, axis=0)
+        out = rows * (rows @ x - y.take(idx))[:, None]
+        out += ridge * x
+        return out
 
     def component_grad_rows(X, idx):
-        rows = A[idx]
-        resid = np.einsum("ij,ij->i", rows, X) - y[idx]
-        return rows * resid[:, None] + ridge * X
+        rows = A.take(idx, axis=0)
+        out = rows * (np.einsum("ij,ij->i", rows, X) - y.take(idx))[:, None]
+        out += ridge * X
+        return out
 
     h = L1Box(weight=spec.l1_weight, box=Box.symmetric(b, d))
     center = np.zeros(d)

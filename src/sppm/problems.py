@@ -117,7 +117,9 @@ def sample_gradient_batch(
     g = problem.grad_f(x)
     if noise.sigma == 0.0:
         return np.tile(g, (count, 1))
-    return g[None, :] + noise.draw(gen, count, problem.dim)
+    batch = noise.draw(gen, count, problem.dim)
+    batch += g
+    return batch
 
 
 # Plans stream through buffers of at most this many values (1 MiB of

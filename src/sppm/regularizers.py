@@ -111,6 +111,11 @@ class Box:
             raise ValidationError("box bounds must satisfy lo <= hi coordinatewise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        # contains() runs on every sampling point and dh candidate, so
+        # its widened bounds are computed once.
+        slack = _DOM_RTOL * np.maximum(1.0, np.abs(hi) + np.abs(lo))
+        object.__setattr__(self, "_lo_widened", lo - slack)
+        object.__setattr__(self, "_hi_widened", hi + slack)
 
     @classmethod
     def symmetric(cls, halfwidth: float, dim: int) -> "Box":
@@ -129,8 +134,7 @@ class Box:
 
     def contains(self, x):
         x = np.asarray(x)
-        slack = _DOM_RTOL * np.maximum(1.0, np.abs(self.hi) + np.abs(self.lo))
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
+        return bool(np.all(x >= self._lo_widened) and np.all(x <= self._hi_widened))
 
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))

@@ -131,3 +131,32 @@ def test_benchmark_configs_parse_with_their_overrides():
     base = load_config(str(ROOT / workloads.WORKLOADS["sgd_compare"].config))
     assert cfgs["sgd_compare"].algo.eps == 8.0 * base.algo.eps
     assert cfgs["heavy_tail"].algo.eps == base.algo.eps
+
+
+def test_observer_counts_every_finite_sum_draw():
+    # perfbench counts oracle draws as len(idx) per component call and the
+    # tracer as rows returned; both must see n*K*(I+1) inner draws plus
+    # n*K*q booster draws per trial
+    observe, spans = _load("observe"), _load("spans")
+    modules = SimpleNamespace(
+        harness=harness, driver=driver, booster=booster, selection=selection,
+        problems=problems, noise=noise, rng=rng, regularizers=regularizers,
+    )
+    cfg = parse_config(CONFIG.format(kind="ridge-l1-box", family="finite_sum", sigma=0.0))
+    observer = observe.Observer(harness, problems.FiniteSumOracle).install()
+    tracer = spans.Tracer()
+    try:
+        with spans.Patches(modules, tracer, lambda outcome, n: []):
+            report = harness.run_trials(cfg)
+    finally:
+        observer.uninstall()
+    n, K, I, q = 3, 2, 6, 2  # algo.candidates, outer_iters, inner_iters, rge_batch
+    want = n * K * (I + 1) + n * K * q
+    runs = list(observer.sppm_runs.values())
+    assert len(runs) == 2
+    for obs in runs:
+        s = obs.schedule
+        assert (s.candidates_per_iter, s.outer_iters, s.inner_iters, s.rge_batch) == (n, K, I, q)
+        assert obs.draws == want
+    assert report.samples_per_trial == want
+    assert tracer.spans()["counts"]["problems.component_rows"] == 2 * want

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,25 @@ def test_finite_sum_oracle_wiring():
     x = p.h.interior_point(p.dim)
     full = oracle.component_grad(x, np.arange(30)).mean(axis=0)
     assert np.allclose(full, p.grad_f(x), atol=1e-10)
+
+
+def test_component_oracles_match_fancy_index_expressions():
+    # the take() gathers and in-place ridge terms keep every bit of the
+    # plain indexing expressions they replace
+    p = generate_problem(spec("ridge-l1-box", dim=8, components=200), 5)
+    oracle = p.meta["oracle"]
+    env = inspect.getclosurevars(oracle.component_grad).nonlocals
+    A, y, ridge = env["A"], env["y"], env["ridge"]
+    gen = RngStream(40).generator(shared=False)
+    for count in (1, 2, 7, 3000):
+        idx = gen.integers(0, 200, size=count)
+        x = gen.uniform(-1.0, 1.0, size=8)
+        X = gen.uniform(-1.0, 1.0, size=(count, 8))
+        rows = A[idx]
+        want = rows * (rows @ x - y[idx])[:, None] + ridge * x[None, :]
+        assert np.array_equal(oracle.component_grad(x, idx), want)
+        want_rows = rows * (np.einsum("ij,ij->i", rows, X) - y[idx])[:, None] + ridge * X
+        assert np.array_equal(oracle.component_grad_rows(X, idx), want_rows)
 
 
 def test_validation_errors():

@@ -96,6 +96,29 @@ def test_prox_map_dispatch_and_validation():
         prox_map(h, y, 0.0)
 
 
+def test_box_contains_matches_slack_formula():
+    # the bounds widened once in __post_init__ decide membership exactly
+    # as the per-call formula did, at and one ulp beyond each edge
+    lo = np.array([-2.0, 0.5, -1e-3, -1e6])
+    hi = np.array([3.0, 0.5, 7.0, 2e6])
+    box = Box(lo, hi)
+
+    def old(x):
+        slack = 1e-9 * np.maximum(1.0, np.abs(hi) + np.abs(lo))
+        return bool(np.all(x >= lo - slack) and np.all(x <= hi + slack))
+
+    slack = 1e-9 * np.maximum(1.0, np.abs(hi) + np.abs(lo))
+    mid = box.interior_point(4)
+    for i in range(4):
+        edges = (lo[i] - slack[i], hi[i] + slack[i])
+        for edge, outward in zip(edges, (-np.inf, np.inf)):
+            for value, inside in ((edge, True), (np.nextafter(edge, outward), False),
+                                  (np.nextafter(edge, -outward), True)):
+                x = mid.copy()
+                x[i] = value
+                assert box.contains(x) == old(x) == inside, (i, value)
+
+
 def test_ball_validation():
     with pytest.raises(ValidationError):
         L2Ball(center=np.zeros(2), radius=0.0)

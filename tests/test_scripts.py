@@ -1,5 +1,6 @@
 """The experiment scripts in scripts/ run end to end and write their reports."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,66 @@ def test_script_writes_its_reports(tmp_path, script, args, reports):
     assert proc.returncode == 0, proc.stderr
     for name in reports:
         assert (tmp_path / name).is_file(), name
+
+
+def _run(script, *args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("budget_comparison.py", ["--budget", "5"], "error: budget 5 is below the schedule's total sample count"),
+    ("heavy_tail_benchmark.py", ["--trials", "0"], "error: run.trials must be >= 1, got 0"),
+    ("heavy_tail_benchmark.py", ["--retarget", "-0.5"], "error: algo.auto.eps must be > 0"),
+])
+def test_script_usage_errors_exit_2(tmp_path, script, args, message):
+    proc = _run(script, "--config", str(ROOT / "configs" / "quadratic_gaussian.cfg"),
+                "--out", str(tmp_path), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(message), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["budget_comparison.py", "heavy_tail_benchmark.py"])
+def test_script_infeasible_schedule_exits_1(tmp_path, script):
+    # verbatim mode without overrides derives a schedule that misses its
+    # per-call target, which the scripts report as the CLI does
+    text = (ROOT / "configs" / "quadratic_gaussian.cfg").read_text(encoding="utf-8")
+    text = "".join(
+        line for line in text.replace("algo.mode = practical", "algo.mode = verbatim").splitlines(keepends=True)
+        if not line.startswith(("algo.inner_iters", "algo.candidates", "algo.rge_batch", "algo.outer_iters"))
+    )
+    cfg = tmp_path / "verbatim.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    proc = _run(script, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("infeasible schedule: verbatim schedule infeasible"), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_pairs_summary_of_one_pair():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def run(side, s_per_trial, samples_per_s, trace=0):
+        metrics = {"s_per_trial": {"value": s_per_trial, "unit": "s"},
+                   "samples_per_s": {"value": samples_per_s, "unit": "1/s"}}
+        return {"workload": "finite_sum_boost", "seed": 7, "trace": trace, "side": side,
+                "result": {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}}
+
+    runs = [run("base", 0.5, 1.0e7), run("head", 0.4, 1.25e7), run("head", 9.0, 1.0, trace=1)]
+    better = {"s_per_trial": "lower", "samples_per_s": "higher", "peak_rss_mb": "lower"}
+    summary = bench_pairs.summarize(runs, better)
+    assert set(summary) == {"finite_sum_boost"}
+    fsb = summary["finite_sum_boost"]
+    assert set(fsb) == {"s_per_trial", "samples_per_s"}  # absent metrics are skipped
+    rate = fsb["samples_per_s"]
+    assert (rate["base"], rate["head"], rate["pairs"]) == ([1.0e7], [1.25e7], 1)
+    assert rate["change"] == pytest.approx(0.25)
+    assert rate["head_better_pairs"] == 1
+    assert rate["base_quartiles"] is None  # one pair has no spread
+    per_trial = fsb["s_per_trial"]
+    assert per_trial["change"] == pytest.approx(-0.2)
+    assert per_trial["head_better_pairs"] == 1
+    assert bench_pairs.directions()["samples_per_s"] == "higher"

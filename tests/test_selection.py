@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sppm import selection
+from sppm.config import ProblemSpec
 from sppm.errors import DomainError, ValidationError
+from sppm.generate import generate_problem
 from sppm.noise import NoiseModel
 from sppm.problems import sample_gradient_batch
 from sppm.selection import (
@@ -113,6 +116,39 @@ def test_rge_accounting(ball_problem, counting_noise):
     x = ball_problem.h.interior_point(ball_problem.dim)
     rge(ball_problem, counting_noise, x, 7, 5, RngStream(26))
     assert counting_noise.draws == 35
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 10, 17])
+def test_rge_means_are_bitwise_batch_means(monkeypatch, dim):
+    # rge's in-order row sums divided by q must equal mean(axis=0) bit
+    # for bit, on every family of batch the booster draws
+    quad = generate_problem(ProblemSpec(kind="quadratic-ball", dim=dim, mu=1.0, L=4.0,
+                                        radius=0.5, instance_seed=dim), dim)
+    ridge = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=dim, mu=1.0, L=3.0,
+                                         box_halfwidth=1.0, components=40, instance_seed=dim), dim)
+    cases = [
+        (quad, NoiseModel(family="gaussian", sigma=1.0)),
+        (quad, NoiseModel(family="student_t", sigma=1.0, nu=3.0)),
+        (ridge, ridge.meta["oracle"]),
+    ]
+    seen = []
+
+    def keep_all(points, metric):
+        seen.append(points.copy())
+        return np.arange(len(points))
+
+    monkeypatch.setattr(selection, "sts", keep_all)
+    for problem, noise in cases:
+        x = problem.h.interior_point(dim) + 0.1
+        for q in (1, 2, 3, 7, 3000):
+            s = RngStream(31).child("bits", q)
+            out = rge(problem, noise, x, 3, q, s)
+            want = np.array([
+                sample_gradient_batch(problem, noise, x, q, s.child("rge-batch", j)).mean(axis=0)
+                for j in range(3)
+            ])
+            assert np.array_equal(seen.pop(), want), (noise, q)
+            assert np.array_equal(out, want[0])
 
 
 def test_rge_validation(ball_problem):
