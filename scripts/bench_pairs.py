@@ -133,7 +133,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--trace-workload", action="append", default=[],
                     help="also one --trace 1 run per side, on the first seed")
-    ap.add_argument("--out", default=str(ROOT))
     args = ap.parse_args(argv)
 
     revs = {"base": revision(args.base), "head": revision(args.head)}
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs, directions()),
         "runs": runs,
     }
-    path = Path(args.out) / f"BENCH_{args.slug}.json"
+    path = ROOT / f"BENCH_{args.slug}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
