@@ -3,18 +3,17 @@
 
 Exports two revisions with `git archive` into a temporary directory
 (removed afterwards) and runs `perfbench/run.py` in each, one pair per
-(workload, seed), alternating which side runs first so that slow drift
-of the host falls on both sides alike:
+(workload, seed) for every workload in BENCHMARK.json at its
+`run_seconds`, alternating which side runs first so that slow drift of
+the host falls on both sides alike.  One --trace 1 run per side and
+workload, on the first seed, adds the per-layer figures:
 
     python3 scripts/bench_pairs.py --base HEAD~1 --head HEAD --slug rge_batches \\
-        --workload finite_sum_boost --workload heavy_tail --seeds 961 962 963 964 965 \\
-        --seconds 25 --trace-workload finite_sum_boost
+        --seeds 961 962 963 964 965 966 967 968 969 970
 
-The record keeps every run's final JSON line, the seeds, --seconds, the
-machine (nproc, CPU model, numpy and Python versions), both revisions
-and, per workload and end-to-end metric, the medians of both sides, the
-base side's quartiles and how many pairs moved the better way.  With
---trace-workload, one --trace 1 run per side adds the per-layer figures.
+The record keeps every run's final JSON line, the seeds, the run
+length, the machine (nproc, CPU model, numpy and Python versions), both
+revisions and a summary per workload (see `summarize`).
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def _git(*args) -> str:
@@ -70,10 +70,11 @@ def machine() -> dict:
             "numpy": numpy.__version__, "python": platform.python_version()}
 
 
-def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its final JSON line, or the failure."""
+def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run of the benchmark's length: its final JSON line,
+    or the failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", str(trace)]
+           "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -81,44 +82,64 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     return json.loads(lines[-1])
 
 
-def directions() -> dict:
-    """End-to-end metric name -> 'lower' or 'higher', from BENCHMARK.json."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+def _sound(result: dict) -> bool:
+    """The run finished, checked correct and failed no operation."""
+    return "error" not in result and result["correct"] and not result["failed"]
 
 
-def summarize(runs: list, better: dict) -> dict:
-    """Per workload and end-to-end metric of the --trace 0 pairs: both
-    sides' values and medians, the base side's quartiles, the relative
-    change of the medians and the number of pairs in which head was
-    better.  A pair with a failed run on either side is left out."""
+def summarize(runs: list, end_to_end: list) -> dict:
+    """Per workload, from its --trace 0 pairs: each side's failed
+    operations, the seeds of the pairs left out, and per end-to-end
+    metric (the `end_to_end` entries of BENCHMARK.json) both sides'
+    values and medians, the base side's quartiles, the relative change
+    of the medians, the number of pairs in which head was better and
+    whether the metric is unresolved.
+
+    A pair is left out when a run on either side erred, reported
+    `correct: false` or failed operations.  A metric is unresolved when
+    the base side's interquartile range, relative to its median, is
+    wider than the metric's bound (or unknown, with one pair) and not
+    every head run is better than every base run."""
     pairs = {}
     for run in runs:
         if run["trace"] == 0:
-            pairs.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run["result"]
+            by_seed = pairs.setdefault(run["workload"], {})
+            by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]
     out = {}
-    for (workload, _), sides in sorted(pairs.items()):
-        if set(sides) != {"base", "head"} or any("error" in r for r in sides.values()):
-            continue
-        for name in better:
-            if not all(name in r["metrics"] for r in sides.values()):
+    for workload, by_seed in sorted(pairs.items()):
+        w = out[workload] = {"failed": {"base": 0, "head": 0}, "left_out": [], "metrics": {}}
+        for seed, sides in sorted(by_seed.items()):
+            for side, result in sides.items():
+                w["failed"][side] += result.get("failed", 0)
+            if set(sides) != {"base", "head"} or not all(map(_sound, sides.values())):
+                w["left_out"].append(seed)
                 continue
-            m = out.setdefault(workload, {}).setdefault(name, {"base": [], "head": []})
-            for side in ("base", "head"):
-                m[side].append(sides[side]["metrics"][name]["value"])
-    for workload, metrics in out.items():
-        for name, m in metrics.items():
+            for name in (m["name"] for m in end_to_end):
+                if all(name in r["metrics"] for r in sides.values()):
+                    m = w["metrics"].setdefault(name, {"base": [], "head": []})
+                    for side in ("base", "head"):
+                        m[side].append(sides[side]["metrics"][name]["value"])
+        for spec in end_to_end:
+            m = w["metrics"].get(spec["name"])
+            if m is None:
+                continue
             base, head = m["base"], m["head"]
-            sign = 1.0 if better[name] == "higher" else -1.0
+            sign = 1.0 if spec["better"] == "higher" else -1.0
             b_med, h_med = statistics.median(base), statistics.median(head)
+            quartiles = statistics.quantiles(base, n=4)[::2] if len(base) > 1 else None
+            spread = (quartiles[1] - quartiles[0]) / abs(b_med) if quartiles and b_med else None
+            all_better = min(sign * h for h in head) > max(sign * b for b in base)
             m.update(
                 pairs=len(base),
                 base_median=b_med,
                 head_median=h_med,
-                base_quartiles=statistics.quantiles(base, n=4)[::2] if len(base) > 1 else None,
+                base_quartiles=quartiles,
+                base_spread=spread,
                 change=(h_med - b_med) / b_med if b_med else None,
                 head_better_pairs=sum(sign * (h - b) > 0 for b, h in zip(base, head)),
-                better=better[name],
+                better=spec["better"],
+                bound=spec["bound"],
+                unresolved=(spread is None or spread > spec["bound"]) and not all_better,
             )
     return out
 
@@ -128,34 +149,32 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="revision measured as 'before'")
     ap.add_argument("--head", default="HEAD", help="revision measured as 'after'")
     ap.add_argument("--slug", required=True, help="names the output BENCH_<slug>.json")
-    ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--trace-workload", action="append", default=[],
-                    help="also one --trace 1 run per side, on the first seed")
     args = ap.parse_args(argv)
 
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
     revs = {"base": revision(args.base), "head": revision(args.head)}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(r["commit"], Path(tmp) / side) for side, r in revs.items()}
-        plan = [(w, s, 0) for w in args.workload for s in args.seeds]
-        plan += [(w, args.seeds[0], 1) for w in args.trace_workload]
+        plan = [(w, s, 0) for w in workloads for s in args.seeds]
+        plan += [(w, args.seeds[0], 1) for w in workloads]
         for i, (workload, seed, trace) in enumerate(plan):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                result = bench_once(trees[side], workload, seed, args.seconds, trace)
+                result = bench_once(trees[side], workload, seed, trace)
                 runs.append({"workload": workload, "seed": seed, "trace": trace,
                              "side": side, "first": side == order[0], "result": result})
                 print(json.dumps(runs[-1]), flush=True)
 
     record = {
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0|1",
-        "seconds": args.seconds,
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {BENCHMARK['run_seconds']} --trace 0|1",
+        "seconds": BENCHMARK["run_seconds"],
         "seeds": args.seeds,
         "revisions": revs,
         "machine": machine(),
-        "summary": summarize(runs, directions()),
+        "summary": summarize(runs, BENCHMARK["end_to_end"]),
         "runs": runs,
     }
     path = ROOT / f"BENCH_{args.slug}.json"

@@ -60,29 +60,65 @@ def test_script_infeasible_schedule_exits_1(tmp_path, script):
     assert not (tmp_path / "out").exists()
 
 
-def test_bench_pairs_summary_of_one_pair():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
 
-    def run(side, s_per_trial, samples_per_s, trace=0):
-        metrics = {"s_per_trial": {"value": s_per_trial, "unit": "s"},
-                   "samples_per_s": {"value": samples_per_s, "unit": "1/s"}}
-        return {"workload": "finite_sum_boost", "seed": 7, "trace": trace, "side": side,
-                "result": {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}}
 
-    runs = [run("base", 0.5, 1.0e7), run("head", 0.4, 1.25e7), run("head", 9.0, 1.0, trace=1)]
-    better = {"s_per_trial": "lower", "samples_per_s": "higher", "peak_rss_mb": "lower"}
-    summary = bench_pairs.summarize(runs, better)
+def _bench_run(side, seed, s_per_trial, samples_per_s, trace=0, correct=True, failed=0):
+    metrics = {"s_per_trial": {"value": s_per_trial, "unit": "s"},
+               "samples_per_s": {"value": samples_per_s, "unit": "1/s"}}
+    return {"workload": "finite_sum_boost", "seed": seed, "trace": trace, "side": side,
+            "result": {"correct": correct, "attempted": 9, "failed": failed, "metrics": metrics}}
+
+
+END_TO_END = [{"name": "s_per_trial", "better": "lower", "bound": 0.25},
+              {"name": "samples_per_s", "better": "higher", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
+
+
+def test_bench_pairs_summary_of_one_pair():
+    bench_pairs = _bench_pairs()
+    runs = [_bench_run("base", 7, 0.5, 1.0e7), _bench_run("head", 7, 0.4, 1.25e7),
+            _bench_run("head", 7, 9.0, 1.0, trace=1),
+            # pairs with an unsound side are left out, whichever side it is
+            _bench_run("base", 8, 0.5, 1.0e7), _bench_run("head", 8, 0.1, 5.0e7, correct=False),
+            _bench_run("base", 9, 0.5, 1.0e7, failed=2), _bench_run("head", 9, 0.4, 1.25e7),
+            _bench_run("base", 10, 0.5, 1.0e7),
+            {"workload": "finite_sum_boost", "seed": 10, "trace": 0, "side": "head",
+             "result": {"error": "exit 1: boom"}},
+            _bench_run("base", 11, 0.5, 1.0e7)]  # no head run
+    summary = bench_pairs.summarize(runs, END_TO_END)
     assert set(summary) == {"finite_sum_boost"}
     fsb = summary["finite_sum_boost"]
-    assert set(fsb) == {"s_per_trial", "samples_per_s"}  # absent metrics are skipped
-    rate = fsb["samples_per_s"]
+    assert fsb["left_out"] == [8, 9, 10, 11]
+    assert fsb["failed"] == {"base": 2, "head": 0}
+    assert set(fsb["metrics"]) == {"s_per_trial", "samples_per_s"}  # absent metrics are skipped
+    rate = fsb["metrics"]["samples_per_s"]
     assert (rate["base"], rate["head"], rate["pairs"]) == ([1.0e7], [1.25e7], 1)
     assert rate["change"] == pytest.approx(0.25)
     assert rate["head_better_pairs"] == 1
     assert rate["base_quartiles"] is None  # one pair has no spread
-    per_trial = fsb["s_per_trial"]
+    assert rate["unresolved"] is False  # ... but its one head run beats its one base run
+    per_trial = fsb["metrics"]["s_per_trial"]
     assert per_trial["change"] == pytest.approx(-0.2)
     assert per_trial["head_better_pairs"] == 1
-    assert bench_pairs.directions()["samples_per_s"] == "higher"
+
+
+def test_bench_pairs_metric_is_unresolved_when_base_spread_exceeds_bound():
+    bench_pairs = _bench_pairs()
+    base_times = [1.0, 1.1, 1.2, 1.5, 1.6]  # quartiles 1.05 and 1.55: spread 0.5 / 1.2
+    runs = []
+    for seed, (b, h) in enumerate(zip(base_times, [1.3, 1.3, 1.3, 1.3, 1.3])):
+        runs += [_bench_run("base", seed, b, 1.0e7), _bench_run("head", seed, h, 1.0e7 + seed)]
+    summary = bench_pairs.summarize(runs, END_TO_END)["finite_sum_boost"]["metrics"]
+    per_trial = summary["s_per_trial"]
+    assert per_trial["base_spread"] == pytest.approx(0.5 / 1.2)
+    assert per_trial["unresolved"] is True
+    rate = summary["samples_per_s"]  # the base rates do not spread
+    assert rate["base_spread"] == 0.0
+    assert rate["unresolved"] is False
+    assert bench_pairs.BENCHMARK["run_seconds"] > 0
+    assert [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]][:2] == ["s_per_trial", "samples_per_s"]
