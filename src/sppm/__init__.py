@@ -48,7 +48,7 @@ from .problems import (
     sample_gradient_batch,
     shifted_value,
 )
-from .pss import CandidatePair, PssConfig, alpha_floor, epsilon_k_bound, pss_run
+from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run_batch
 from .regularizers import Box, L1, L1Box, L2Ball, Zero, prox_map
 from .rng import RngStream
 from .selection import EuclideanMetric, bregman_dh, make_dh, rge, sts

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .problems import CompositeProblem
-from .pss import CandidatePair
 from .rng import RngStream
 from .selection import EuclideanMetric, make_dh, rge, sts
 
@@ -45,7 +44,9 @@ class PbConfig:
 
 @dataclass(frozen=True)
 class PbOutcome:
-    selected: CandidatePair
+    """selected holds copies (z, w) of the winning rows of Z and W."""
+
+    selected: tuple
     selected_index: int
     index_sets: tuple
     samples_used: int
@@ -78,7 +79,7 @@ def pb(
 ) -> PbOutcome:
     """Select one of the n candidates whose last and averaged iterates
     are the rows of Z and W; consumes exactly n*q oracle samples (the
-    RGE call).  `selected` holds copies of the winning rows.
+    RGE call).
 
     All tie-breaking is smallest-index, so the outcome is a pure
     function of (Z, W, cfg, problem, noise, stream).
@@ -101,7 +102,7 @@ def pb(
         raise RuntimeError("internal: selection passes have empty intersection")
     idx = int(final[0])
     return PbOutcome(
-        selected=CandidatePair(z=np.array(Z[idx]), w=np.array(W[idx])),
+        selected=(np.array(Z[idx]), np.array(W[idx])),
         selected_index=idx,
         index_sets=(j_w, j_z, j_gap),
         samples_used=n * cfg.q,

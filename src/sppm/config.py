@@ -60,8 +60,6 @@ class AlgoSpec:
     eps: float
     p: float
     mode: str = "verbatim"
-    lam: Optional[float] = None
-    alpha: Optional[float] = None
     inner_iters: Optional[int] = None
     candidates: Optional[int] = None
     rge_batch: Optional[int] = None
@@ -86,7 +84,7 @@ class ExperimentConfig:
 # section -> spec dataclass, in ExperimentConfig field order
 _SECTIONS = get_type_hints(ExperimentConfig)
 # The keys that are not "section.field".
-_KEY_NAMES = {"algo.eps": "algo.auto.eps", "algo.p": "algo.auto.p", "algo.lam": "algo.lambda"}
+_KEY_NAMES = {"algo.eps": "algo.auto.eps", "algo.p": "algo.auto.p"}
 
 
 def _build_schema() -> dict:
@@ -183,10 +181,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"algo.auto.p must lie in (0,1), got {algo.p}")
     if algo.mode not in MODES:
         raise ConfigError(f"algo.mode must be one of {MODES}, got {algo.mode!r}")
-    for name in ("lam", "alpha"):
-        v = getattr(algo, name)
-        if v is not None and v <= 0.0:
-            raise ConfigError(f"algo {name} override must be positive, got {v}")
     for name in ("inner_iters", "candidates", "rge_batch", "outer_iters"):
         v = getattr(algo, name)
         if v is not None and v < 1:

@@ -108,8 +108,10 @@ def derive_schedule(
     mode: str = "verbatim",
 ) -> Schedule:
     """Fill a Schedule from targets; overrides pin individual fields and
-    the dependent quantities are recomputed around them.
+    the dependent quantities are recomputed around them.  lam is 3/mu and
+    alpha sits at its floor for the derived I.
 
+    Targets that overflow a derived quantity raise ValidationError.
     Infeasibility (no inner-iteration count meets the per-call target;
     the bias term has a floor of about 0.135*(sigma*D + L*D^2/2) once
     alpha sits at its own floor) is reported through feasible=False and
@@ -128,11 +130,18 @@ def derive_schedule(
     if mode not in ("verbatim", "practical"):
         raise ValidationError(f"unknown mode {mode!r}")
     ov = dict(overrides or {})
-    unknown = set(ov) - {
-        "lam", "alpha", "inner_iters", "candidates_per_iter", "rge_batch", "outer_iters",
-    }
+    unknown = set(ov) - {"inner_iters", "candidates_per_iter", "rge_batch", "outer_iters"}
     if unknown:
         raise ValidationError(f"unknown override fields: {sorted(unknown)}")
+
+    def finite(name, value):
+        """value, or ValidationError when the targets overflow it."""
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{name} overflows the float range at mu={mu}, L={L}, sigma={sigma}, "
+                f"D={D}, target_eps={target_eps}, target_p={target_p}"
+            )
+        return value
 
     kappa = L / mu
     if mode == "verbatim":
@@ -140,12 +149,10 @@ def derive_schedule(
     else:
         markov_c, boost_c, hoeff_c = PRACTICAL_FACTORS
 
-    lam = float(ov.get("lam", 3.0 / mu))
+    lam = 3.0 / mu
     eps_dist = eps_stat = target_eps / 2.0
-    K = int(ov.get(
-        "outer_iters",
-        max(1, math.ceil(math.log1p(D * D / (7.0 * lam * eps_dist)) / math.log(8.0 / 7.0))),
-    ))
+    k_raw = math.log1p(D * D / (7.0 * lam * eps_dist)) / math.log(8.0 / 7.0)
+    K = int(ov.get("outer_iters", max(1, math.ceil(finite("outer_iters", k_raw)))))
     tau_target = eps_stat / boost_c
     per_call_target = tau_target / markov_c
 
@@ -168,15 +175,18 @@ def derive_schedule(
             # per-call target.  feasible stays False regardless.
             if sigma > 0.0 and per_call_target > 0.0:
                 amplified = lam * sigma * sigma * (1.0 + 0.5 * lam * L)
-                I = int(min(I_CAP, max(8, math.ceil(amplified / per_call_target))))
+                I = int(min(I_CAP, max(8, math.ceil(finite("inner_iters", amplified / per_call_target)))))
             else:
                 I = 8
-    alpha = float(ov.get("alpha", alpha_floor(I, lam, L)))
-    eps_k = epsilon_k_bound(alpha, I, lam, sigma, D, L)
+    alpha = alpha_floor(I, lam, L)
+    eps_k = finite("eps_k", epsilon_k_bound(alpha, I, lam, sigma, D, L))
     tau = tau_from_eps(eps_k, markov_c)
-    q = int(ov.get("rge_batch", q_floor(lam, mu, sigma, L, tau)))
-    n = int(ov.get("candidates_per_iter", math.ceil(hoeff_c * math.log(2.0 * K / target_p))))
-    n = max(1, n)
+    q_min = q_floor(lam, mu, sigma, L, tau)
+    q = int(ov.get("rge_batch", q_min))
+    if q < q_min:
+        raise ValidationError(f"rge_batch={q} below floor {q_min}")
+    n_raw = hoeff_c * math.log(2.0 * K / target_p)
+    n = max(1, int(ov.get("candidates_per_iter", math.ceil(finite("candidates_per_iter", n_raw)))))
 
     feasible = eps_k <= per_call_target
     diagnostics["per_call_bound"] = (per_call_target, eps_k)
@@ -184,15 +194,6 @@ def derive_schedule(
         bias_floor = math.exp(-2.0) * (sigma * D + 0.5 * L * D * D)
         if bias_floor > per_call_target:
             diagnostics["bias floor exceeded"] = (per_call_target, bias_floor)
-
-    # Hard invariants; violating overrides are caller errors.
-    floor = alpha_floor(I, lam, L)
-    if lam * mu < 3.0 - 1e-12:
-        raise ValidationError(f"lam*mu must be >= 3, got {lam * mu}")
-    if alpha < floor - 1e-12:
-        raise ValidationError(f"alpha={alpha:.6g} below floor {floor:.6g}")
-    if q < q_floor(lam, mu, sigma, L, tau):
-        raise ValidationError(f"rge_batch={q} below floor {q_floor(lam, mu, sigma, L, tau)}")
 
     return Schedule(
         lam=lam,
@@ -267,8 +268,8 @@ def sppm_run(
                 raise NumericError(f"outer step {k}: candidate {bad} produced a non-finite iterate")
             pcfg = PbConfig(q=schedule.rge_batch, lam=schedule.lam, z_bar=z)
             outcome = pb(Z, W, pcfg, problem, noise, k_stream.child("pb"))
-            z = outcome.selected.z
-            iterates.append((z, outcome.selected.w))
+            z, w = outcome.selected
+            iterates.append((z, w))
             per_iter.append(n * (schedule.inner_iters + 1) + outcome.samples_used)
     except Exception as exc:
         exc.partial_record = record()

@@ -97,8 +97,6 @@ def build_schedule(cfg: ExperimentConfig, problem: CompositeProblem) -> Schedule
     algo = cfg.algo
     overrides = {}
     for field_name, override in (
-        ("lam", algo.lam),
-        ("alpha", algo.alpha),
         ("inner_iters", algo.inner_iters),
         ("candidates_per_iter", algo.candidates),
         ("rge_batch", algo.rge_batch),

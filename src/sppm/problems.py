@@ -114,11 +114,8 @@ def sample_gradient_batch(
     if isinstance(noise, FiniteSumOracle):
         idx = gen.integers(0, noise.count, size=count)
         return noise.component_grad(np.asarray(x, float), idx)
-    g = problem.grad_f(x)
-    if noise.sigma == 0.0:
-        return np.tile(g, (count, 1))
     batch = noise.draw(gen, count, problem.dim)
-    batch += g
+    batch += problem.grad_f(x)
     return batch
 
 
@@ -207,19 +204,16 @@ class RowSampler:
         if count < 1:
             raise ValidationError(f"sample count must be >= 1, got {count}")
         self._grad_rows = problem.grad_rows or _rows_of(problem.grad_f)
-        self._component_rows = self._noise = self._indices = self._plan = None
+        self._component_rows = self._noise = self._indices = None
+        self._plan = _ChunkedPlan(noise, count, streams, problem.dim)
         if isinstance(noise, FiniteSumOracle):
             self._component_rows = noise.component_grad_rows or _component_rows_of(noise.component_grad)
-            self._plan = _ChunkedPlan(noise, count, streams, problem.dim)
             self._indices = self._plan.buffer
-        elif noise.sigma != 0.0:
-            self._plan = _ChunkedPlan(noise, count, streams, problem.dim)
+        else:
             self._noise = self._plan.buffer
 
     def sample_rows(self, i: int, X: np.ndarray) -> np.ndarray:
         plan = self._plan
-        if plan is None:
-            return self._grad_rows(X)
         if not plan.start <= i < plan.stop:
             plan.advance(i)
         if self._indices is not None:
@@ -244,8 +238,6 @@ class GradientSampler(RowSampler):
     def sample(self, i: int, x: np.ndarray) -> np.ndarray:
         """i-th planned gradient sample, evaluated at x."""
         plan = self._plan
-        if plan is None:
-            return self._grad(x)
         if not plan.start <= i < plan.stop:
             plan.advance(i)
         if self._indices is not None:

@@ -29,7 +29,7 @@ from .problems import (
     sample_gradient_batch,
     shifted_value,
 )
-from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run, pss_run_batch
+from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run_batch
 from .regularizers import Box, L1, L1Box, L2Ball, Zero, prox_map
 from .rng import RngStream
 from .selection import EuclideanMetric, bregman_dh, make_dh, rge, sts
@@ -51,10 +51,6 @@ class CountingNoise:
         self.inner = inner
         self.draws = 0
 
-    @property
-    def sigma(self):
-        return self.inner.sigma
-
     def draw(self, gen, count, dim):
         self.draws += count
         return self.inner.draw(gen, count, dim)
@@ -63,6 +59,16 @@ class CountingNoise:
 @lru_cache(maxsize=None)
 def reference_problem():
     return generate_problem(REF_SPEC, REF_SPEC.instance_seed)
+
+
+@lru_cache(maxsize=None)
+def reference_prox():
+    """(center, z_hat, phi_lam_hat): the reference domain center, its
+    exact prox point at REF_LAM, and the shifted objective there."""
+    problem = reference_problem()
+    center = problem.h.center
+    z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
+    return center, z_hat, shifted_value(problem, z_hat, center, REF_LAM)
 
 
 def _gaussian(sigma=REF_SIGMA):
@@ -205,10 +211,10 @@ def check_replay_determinism():
         return False, "sample_gradient_batch differs across replays"
     cfg = PssConfig(x0=problem.h.center, alpha=alpha_floor(10, REF_LAM, problem.L),
                     lam=REF_LAM, inner_iters=10)
-    p1 = pss_run(problem, noise, cfg, stream.child("pss"))
-    p2 = pss_run(problem, noise, cfg, stream.child("pss"))
-    if not (np.array_equal(p1.z, p2.z) and np.array_equal(p1.w, p2.w)):
-        return False, "pss_run differs across replays"
+    p1 = pss_run_batch(problem, noise, cfg, [stream.child("pss")])
+    p2 = pss_run_batch(problem, noise, cfg, [stream.child("pss")])
+    if not all(np.array_equal(a, b) for a, b in zip(p1, p2)):
+        return False, "pss_run_batch differs across replays"
     g1 = rge(problem, noise, problem.h.center, 5, 3, stream.child("rge"))
     g2 = rge(problem, noise, problem.h.center, 5, 3, stream.child("rge"))
     if not np.array_equal(g1, g2):
@@ -217,7 +223,7 @@ def check_replay_determinism():
     pcfg = PbConfig(q=3, lam=REF_LAM, z_bar=problem.h.center)
     o1 = pb(Z, W, pcfg, problem, noise, stream.child("pb"))
     o2 = pb(Z, W, pcfg, problem, noise, stream.child("pb"))
-    same = o1.selected_index == o2.selected_index and np.array_equal(o1.selected.w, o2.selected.w)
+    same = o1.selected_index == o2.selected_index and np.array_equal(o1.selected[1], o2.selected[1])
     return same, "batch draws, inner solves, rge, and pb all replay bit-identically"
 
 
@@ -234,9 +240,10 @@ def _unit_quadratic():
 def check_pss_hand_example():
     """1-D noiseless quadratic, alpha = 2/3, I = 2: z = 4/9, w = 2/9."""
     cfg = PssConfig(x0=np.array([1.0]), alpha=2.0 / 3.0, lam=1.0, inner_iters=2)
-    out = pss_run(_unit_quadratic(), NoiseModel(family="gaussian", sigma=0.0), cfg, RngStream(0))
-    ok = abs(out.z[0] - 4.0 / 9.0) < 1e-12 and abs(out.w[0] - 2.0 / 9.0) < 1e-12
-    return ok, f"z = {out.z[0]:.12f} (want 4/9), w = {out.w[0]:.12f} (want 2/9)"
+    noise = NoiseModel(family="gaussian", sigma=0.0)
+    (z,), (w,) = pss_run_batch(_unit_quadratic(), noise, cfg, [RngStream(0)])
+    ok = abs(z[0] - 4.0 / 9.0) < 1e-12 and abs(w[0] - 2.0 / 9.0) < 1e-12
+    return ok, f"z = {z[0]:.12f} (want 4/9), w = {w[0]:.12f} (want 2/9)"
 
 
 def check_pss_long_run():
@@ -245,8 +252,8 @@ def check_pss_long_run():
                     validated=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = pss_run(_unit_quadratic(), NoiseModel(family="gaussian", sigma=0.0), cfg, RngStream(0))
-    err = abs(out.z[0] - 0.5)
+        Z, _ = pss_run_batch(_unit_quadratic(), NoiseModel(family="gaussian", sigma=0.0), cfg, [RngStream(0)])
+    err = abs(Z[0, 0] - 0.5)
     return err <= 1e-3, f"|z - 0.5| = {err:.2e}"
 
 
@@ -255,7 +262,7 @@ def check_pss_accounting(I: int = 37):
     noise = CountingNoise(_gaussian())
     cfg = PssConfig(x0=problem.h.center, alpha=alpha_floor(I, REF_LAM, problem.L),
                     lam=REF_LAM, inner_iters=I)
-    pss_run(problem, noise, cfg, RngStream(106).child("acct"))
+    pss_run_batch(problem, noise, cfg, [RngStream(106).child("acct")])
     ok = noise.draws == I + 1
     return ok, f"counted {noise.draws} draws for I = {I} (want {I + 1})"
 
@@ -267,8 +274,8 @@ def check_pss_anchoring(I: int = 30, probes: int = 20):
     steps = []
     cfg = PssConfig(x0=problem.h.center, alpha=alpha_floor(I, REF_LAM, problem.L),
                     lam=REF_LAM, inner_iters=I)
-    pss_run(problem, _gaussian(), cfg, RngStream(107).child("anchor"),
-            observer=lambda i, s, S, x, y: steps.append((np.array(S), np.array(x))))
+    pss_run_batch(problem, _gaussian(), cfg, [RngStream(107).child("anchor")],
+                  observer=lambda i, G, S, X, Y: steps.append((np.array(S[0]), np.array(X[0]))))
     gen = RngStream(107).child("probe").generator(shared=False)
     x0 = cfg.x0
     worst = 0.0
@@ -290,17 +297,17 @@ def check_pss_membership(I: int = 40):
     xs = []
     cfg = PssConfig(x0=problem.h.center, alpha=alpha_floor(I, REF_LAM, problem.L),
                     lam=REF_LAM, inner_iters=I)
-    out = pss_run(problem, _gaussian(), cfg, RngStream(108).child("member"),
-                  observer=lambda i, s, S, x, y: xs.append(np.array(x)))
+    _, (w,) = pss_run_batch(problem, _gaussian(), cfg, [RngStream(108).child("member")],
+                            observer=lambda i, G, S, X, Y: xs.append(np.array(X[0])))
     a = cfg.alpha
     coeffs = np.array([a ** (len(xs) - 1)] + [(1 - a) * a ** (len(xs) - i) for i in range(2, len(xs) + 1)])
     rebuilt = coeffs @ np.stack(xs)
     ok = (
         abs(coeffs.sum() - 1.0) < 1e-12
-        and float(np.linalg.norm(rebuilt - out.w)) < 1e-10
-        and problem.h.contains(out.w)
+        and float(np.linalg.norm(rebuilt - w)) < 1e-10
+        and problem.h.contains(w)
     )
-    return ok, f"coefficients sum to 1, reconstruction error {float(np.linalg.norm(rebuilt - out.w)):.2e}"
+    return ok, f"coefficients sum to 1, reconstruction error {float(np.linalg.norm(rebuilt - w)):.2e}"
 
 
 def check_pss_gap_nonnegative(runs: int = 200, I: int = 25):
@@ -308,9 +315,7 @@ def check_pss_gap_nonnegative(runs: int = 200, I: int = 25):
     meaningfully negative."""
     problem = reference_problem()
     noise = _gaussian()
-    center = problem.h.center
-    z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
-    base = shifted_value(problem, z_hat, center, REF_LAM)
+    center, _, base = reference_prox()
     cfg = PssConfig(x0=center, alpha=alpha_floor(I, REF_LAM, problem.L), lam=REF_LAM,
                     inner_iters=I)
     worst = math.inf
@@ -326,9 +331,7 @@ def mean_gap_stats(I: int, runs: int, seed: int = 110):
     """(mean, standard error, bound) of the shifted gap at inner count I."""
     problem = reference_problem()
     noise = _gaussian()
-    center = problem.h.center
-    z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
-    base = shifted_value(problem, z_hat, center, REF_LAM)
+    center, _, base = reference_prox()
     a = alpha_floor(I, REF_LAM, problem.L)
     cfg = PssConfig(x0=center, alpha=a, lam=REF_LAM, inner_iters=I)
     _, W = pss_run_batch(problem, noise, cfg, [RngStream(seed).child(f"gap{I}", t) for t in range(runs)])
@@ -473,7 +476,7 @@ def check_pb_identical_pairs():
     cfg = PbConfig(q=2, lam=REF_LAM, z_bar=problem.h.center)
     out = pb(P, P, cfg, problem, _gaussian(), RngStream(117))
     full = all(len(js) == 6 for js in out.index_sets)
-    ok = full and np.array_equal(out.selected.w, point)
+    ok = full and np.array_equal(out.selected[1], point)
     return ok, "identical pairs give full index sets and the common point"
 
 
@@ -523,9 +526,7 @@ def check_shifted_two_sided_bound(points: int = 1000):
     """(1+lam mu)/(2 lam) d^2 + D_h <= shifted gap <= (1+lam L)/(2 lam) d^2 + D_h."""
     problem = reference_problem()
     gen = RngStream(120).child("a3").generator(shared=False)
-    center = problem.h.center
-    z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
-    base = shifted_value(problem, z_hat, center, REF_LAM)
+    center, z_hat, base = reference_prox()
     g = problem.grad_f(z_hat) + (z_hat - center) / REF_LAM
     lo_c = (1.0 + REF_LAM * problem.mu) / (2.0 * REF_LAM)
     hi_c = (1.0 + REF_LAM * problem.L) / (2.0 * REF_LAM)
@@ -543,8 +544,7 @@ def check_metric_comparison(points: int = 1000):
     """|d_h - D_h| <= (||s_bar - grad_f(z_hat)|| + ||w_tilde - z_hat||/lam) ||x - z_hat||."""
     problem = reference_problem()
     gen = RngStream(121).child("a2").generator(shared=False)
-    center = problem.h.center
-    z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
+    center, z_hat, _ = reference_prox()
     g = problem.grad_f(z_hat) + (z_hat - center) / REF_LAM
     for _ in range(points):
         w_tilde = _interior(problem, gen)
@@ -603,7 +603,7 @@ def planted_pb_trial(problem, z_hat, phi_lam_hat, center, tau, n, q, stream):
     perm = gen.permutation(n)
     Z, W = (np.stack(col)[perm] for col in zip(*rows))
     out = pb(Z, W, PbConfig(q=q, lam=REF_LAM, z_bar=center), problem, _gaussian(), stream.child("pb"))
-    lhs = pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, out.selected.z, out.selected.w)
+    lhs = pair_event_lhs(problem, center, REF_LAM, z_hat, phi_lam_hat, *out.selected)
     return lhs - threshold
 
 
@@ -611,9 +611,7 @@ def check_pb_boost(trials: int = 500, n: int = 288, tau: float = 5e-4):
     """Planted majorities: the boosted selection violates the
     12 tau + 57 kappa tau bound with frequency <= 2 exp(-n/72) + 0.01."""
     problem = reference_problem()
-    center = problem.h.center
-    z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
-    phi_lam_hat = shifted_value(problem, z_hat, center, REF_LAM)
+    center, z_hat, phi_lam_hat = reference_prox()
     q = q_floor(REF_LAM, problem.mu, REF_SIGMA, problem.L, tau)
     violations = 0
     for t in range(trials):
@@ -633,9 +631,7 @@ def check_per_call_frequency(calls: int = 2000, I: int = 50):
     with frequency at least 0.74."""
     problem = reference_problem()
     noise = _gaussian()
-    center = problem.h.center
-    z_hat = exact_prox_point(problem, center, REF_LAM, tol=1e-12)
-    phi_lam_hat = shifted_value(problem, z_hat, center, REF_LAM)
+    center, z_hat, phi_lam_hat = reference_prox()
     a = alpha_floor(I, REF_LAM, problem.L)
     eps_k = epsilon_k_bound(a, I, REF_LAM, REF_SIGMA, problem.diameter, problem.L)
     threshold = tau_from_eps(eps_k)
@@ -670,7 +666,7 @@ def check_recursion_frequency(iterations: int = 500, n: int = 144, I: int = 25):
         cfg = PssConfig(x0=z_prev, alpha=a, lam=REF_LAM, inner_iters=I)
         Z, W = pss_run_batch(problem, noise, cfg, [stream.child("pss", j) for j in range(n)])
         out = pb(Z, W, PbConfig(q=q, lam=REF_LAM, z_bar=z_prev), problem, noise, stream.child("pb"))
-        w_bar, z_bar = out.selected.w, out.selected.z
+        z_bar, w_bar = out.selected
         lhs = (
             evaluate_phi(problem, w_bar)
             - phi_star

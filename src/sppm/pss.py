@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .problems import CompositeProblem, RowSampler
-from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,6 @@ class PssConfig:
             raise ValidationError(f"lam must be positive, got {self.lam}")
         if self.inner_iters < 1:
             raise ValidationError(f"inner_iters must be >= 1, got {self.inner_iters}")
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """One candidate: last iterate z and averaged iterate w."""
-
-    z: np.ndarray
-    w: np.ndarray
 
 
 def alpha_floor(inner_iters: int, lam: float, L: float) -> float:
@@ -129,21 +120,3 @@ def pss_run_batch(
         if observer is not None:
             observer(i + 1, G, S, X, Y)
     return X, Y
-
-
-def pss_run(
-    problem: CompositeProblem,
-    noise,
-    cfg: PssConfig,
-    stream: RngStream,
-    observer=None,
-) -> CandidatePair:
-    """One inner solve: pss_run_batch on the single stream.
-    observer(i, s, S, x, y), if given, sees each step as vectors (used
-    by the invariant tests)."""
-    rows = None
-    if observer is not None:
-        def rows(i, G, S, X, Y):
-            observer(i, G[0], S[0], X[0], Y[0])
-    Z, W = pss_run_batch(problem, noise, cfg, [stream], rows)
-    return CandidatePair(z=Z[0], w=W[0])

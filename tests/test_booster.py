@@ -48,7 +48,7 @@ def test_identical_pairs_select_the_common_point():
     cfg = PbConfig(q=2, lam=3.0, z_bar=np.zeros(4))
     out = pb(Z, W, cfg, problem, NoiseModel(family="gaussian", sigma=0.0),
              RngStream(51))
-    assert np.array_equal(out.selected.z, z)
+    assert np.array_equal(out.selected[0], z)
     for s in out.index_sets:
         assert list(s) == list(range(6))
 
@@ -78,7 +78,7 @@ def test_structure_sizes_and_accounting(ball_problem, counting_noise):
     for s in out.index_sets:
         assert 3 * len(s) > 2 * n
         assert out.selected_index in set(np.asarray(s).tolist())
-    assert any(np.array_equal(out.selected.w, w) for w in W)
+    assert np.array_equal(out.selected[1], W[out.selected_index])
 
 
 def test_pb_replay_bitwise(ball_problem):
@@ -90,7 +90,7 @@ def test_pb_replay_bitwise(ball_problem):
     a = pb(Z, W, cfg, ball_problem, noise, RngStream(56))
     b = pb(Z, W, cfg, ball_problem, noise, RngStream(56))
     assert a.selected_index == b.selected_index
-    assert np.array_equal(a.selected.w, b.selected.w)
+    assert np.array_equal(a.selected[1], b.selected[1])
 
 
 def test_pb_validation(ball_problem):
@@ -110,6 +110,6 @@ def test_selected_rows_are_copies(ball_problem):
     W = 0.05 * gen.standard_normal((5, ball_problem.dim))
     cfg = PbConfig(q=2, lam=3.0, z_bar=ball_problem.h.interior_point(ball_problem.dim))
     out = pb(Z, W, cfg, ball_problem, NoiseModel(family="gaussian", sigma=1.0), RngStream(58))
-    j = out.selected_index
-    assert np.array_equal(out.selected.z, Z[j]) and np.array_equal(out.selected.w, W[j])
-    assert not np.shares_memory(out.selected.z, Z) and not np.shares_memory(out.selected.w, W)
+    z, w = out.selected
+    assert np.array_equal(z, Z[out.selected_index]) and np.array_equal(w, W[out.selected_index])
+    assert not np.shares_memory(z, Z) and not np.shares_memory(w, W)

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sppm.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = """\
 problem.kind = quadratic-ball
@@ -109,6 +115,18 @@ def test_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL + "problem.shape = round\n", encoding="utf-8")
     assert main(["derive", "--config", str(path)]) == 2
+
+
+def test_derive_overflowing_sigma_exits_2_without_traceback(tmp_path):
+    text = (ROOT / "configs" / "heavy_tail.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "huge_sigma.cfg"
+    path.write_text(text.replace("noise.sigma = 1.0", "noise.sigma = 1e200"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "sppm", "derive", "--config", str(path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("line", ["problem.radius = inf", "noise.sigma = nan", "algo.auto.eps = nan"])

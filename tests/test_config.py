@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -125,10 +127,27 @@ def test_factor_keys_rejected(key):
         parse_config(BASE + f"{key} = 1.0\n")
 
 
+@pytest.mark.parametrize("key", ["algo.lambda", "algo.alpha"])
+def test_lambda_and_alpha_keys_rejected(key):
+    # lam = 3/mu and alpha at its floor are derived, never pinned.
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(BASE + f"{key} = 0.9\n")
+
+
+def test_readme_config_block_parses_and_names_real_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    parse_config(block)
+    pins = re.search(r"# optional pins:(.*?)\n\n", block, re.S).group(1)
+    named = re.findall(r"\b[a-z]+\.[a-z_.]+[a-z_]", pins)
+    assert named
+    assert [key for key in named if key not in _SCHEMA] == []
+
+
 FLOAT_KEYS = [
     "problem.mu", "problem.L", "problem.radius", "problem.l1_weight",
     "noise.sigma", "noise.nu", "algo.auto.eps", "algo.auto.p",
-    "algo.lambda", "algo.alpha",
 ]
 
 

@@ -20,6 +20,7 @@ from sppm.errors import NumericError, ValidationError
 from sppm.harness import build_noise, build_problem, build_schedule, initial_iterate
 from sppm.noise import NoiseModel
 from sppm.problems import evaluate_phi
+from sppm.props import CountingNoise
 from sppm.pss import alpha_floor
 from sppm.regularizers import L2Ball, prox_map
 from sppm.rng import RngStream
@@ -74,12 +75,13 @@ def test_verbatim_infeasible_documents_bias_floor():
     assert floor == pytest.approx(math.exp(-2.0) * 3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("overrides", [{"lam": 3.0}, {"inner_iters": 50, "alpha": 0.99}])
+def test_lam_and_alpha_overrides_rejected(overrides):
+    with pytest.raises(ValidationError, match="unknown override fields"):
+        derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1, overrides=overrides)
+
+
 def test_override_invariants_enforced():
-    with pytest.raises(ValidationError):
-        derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1, overrides={"lam": 1.0})
-    with pytest.raises(ValidationError):
-        derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1,
-                        overrides={"inner_iters": 50, "alpha": 0.5})
     # big sigma against small L pushes the batch floor above 1
     with pytest.raises(ValidationError):
         derive_schedule(1.0, 1.2, 3.0, 1.0, 0.1, 0.1, overrides={"rge_batch": 1})
@@ -100,11 +102,31 @@ def test_non_finite_arguments_rejected(name, value, match):
         derive_schedule(**{**args, name: value})
 
 
-def test_lam_default_and_override():
-    s = derive_schedule(2.0, 8.0, 1.0, 1.0, 0.1, 0.1)
-    assert s.lam == pytest.approx(1.5)  # 3/mu
-    s2 = derive_schedule(2.0, 8.0, 1.0, 1.0, 0.1, 0.1, overrides={"lam": 4.0})
-    assert s2.lam == 4.0
+@pytest.mark.parametrize("mode", ["verbatim", "practical"])
+@pytest.mark.parametrize("overrides", [
+    None, {"inner_iters": 40}, {"rge_batch": 10**6}, {"inner_iters": 7, "rge_batch": 10**6},
+])
+@pytest.mark.parametrize("mu, L, sigma, eps", [
+    (1.0, 4.0, 1.0, 0.1), (2.0, 8.0, 1.0, 0.1), (0.3, 5.0, 0.0, 0.05), (1.0, 4.0, 1.0, 5000.0),
+])
+def test_derived_schedules_hold_lam_mu_and_alpha_invariants(mode, overrides, mu, L, sigma, eps):
+    s = derive_schedule(mu, L, sigma, 1.0, eps, 0.1, overrides=overrides, mode=mode)
+    assert abs(s.lam * mu - 3.0) <= 1e-12
+    assert s.alpha == alpha_floor(s.inner_iters, s.lam, L)
+
+
+@pytest.mark.parametrize("changes, overrides, match", [
+    ({"sigma": 1e155}, None, "inner_iters overflows"),
+    ({"mu": 1e-300}, None, "inner_iters overflows"),
+    ({"sigma": 1e155}, {"inner_iters": 5}, "eps_k overflows"),
+    ({"D": 1e200}, None, "outer_iters overflows"),
+    ({"target_eps": 1e-320}, None, "outer_iters overflows"),
+    ({"target_p": 1e-320}, None, "candidates_per_iter overflows"),
+])
+def test_overflowing_targets_raise_validation_error(changes, overrides, match):
+    args = {"mu": 1.0, "L": 4.0, "sigma": 1.0, "D": 1.0, "target_eps": 0.02, "target_p": 0.05}
+    with pytest.raises(ValidationError, match=match):
+        derive_schedule(**{**args, **changes}, overrides=overrides, mode="practical")
 
 
 def test_total_samples_formula():
@@ -142,6 +164,23 @@ def test_sppm_run_sample_accounting(ball_problem, counting_noise):
     z0 = ball_problem.h.interior_point(ball_problem.dim)
     rec = sppm_run(ball_problem, counting_noise, s, z0, RngStream(61))
     assert counting_noise.draws == rec.total_samples
+
+
+def test_sppm_run_counts_noiseless_draws(ball_problem):
+    noise = CountingNoise(NoiseModel(family="gaussian", sigma=0.0))
+    z0 = ball_problem.h.interior_point(ball_problem.dim)
+    rec = sppm_run(ball_problem, noise, small_schedule(ball_problem), z0, RngStream(66))
+    assert noise.draws == rec.total_samples
+
+
+def test_record_iterates_are_standalone_rows(ball_problem):
+    # A record never pins the (n, dim) candidate matrices of a step.
+    noise = NoiseModel(family="gaussian", sigma=1.0)
+    z0 = ball_problem.h.interior_point(ball_problem.dim)
+    rec = sppm_run(ball_problem, noise, small_schedule(ball_problem), z0, RngStream(67))
+    for pair in rec.iterates:
+        for v in pair:
+            assert v.shape == (ball_problem.dim,) and v.base is None
 
 
 def test_sppm_run_replay_is_bitwise(ball_problem):
@@ -252,6 +291,12 @@ def test_sgd_baseline_independent_of_plan_chunking(monkeypatch, ball_problem, co
     got = sgd_baseline(ball_problem, counting_noise, z0, 50, RngStream(70))
     assert counting_noise.draws == 50
     assert np.array_equal(got, want)
+
+
+def test_sgd_baseline_counts_noiseless_draws(ball_problem):
+    noise = CountingNoise(NoiseModel(family="gaussian", sigma=0.0))
+    sgd_baseline(ball_problem, noise, ball_problem.h.interior_point(ball_problem.dim), 300, RngStream(71))
+    assert noise.draws == 300
 
 
 def test_sgd_baseline_noiseless_converges(ball_problem):

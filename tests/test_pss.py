@@ -8,11 +8,11 @@ from sppm.errors import DomainError, ValidationError
 from sppm.noise import NoiseModel
 from sppm.generate import generate_problem
 from sppm.problems import CompositeProblem, exact_prox_point, shifted_value
+from sppm.props import CountingNoise
 from sppm.pss import (
     PssConfig,
     alpha_floor,
     epsilon_k_bound,
-    pss_run,
     pss_run_batch,
 )
 from sppm.regularizers import Zero
@@ -46,17 +46,25 @@ def test_hand_worked_noiseless_example():
     # 1-D f = x^2/2, h = 0, x0 = 1, lam = 1, alpha = 2/3, I = 2.
     # Unrolled by hand: x1=0, x2=1/3, x3=4/9; y3 = 2/9.
     cfg = PssConfig(x0=np.array([1.0]), alpha=2.0 / 3.0, lam=1.0, inner_iters=2)
-    out = pss_run(quad_1d(), NOISELESS, cfg, RngStream(0))
-    assert abs(out.z[0] - 4.0 / 9.0) < 1e-12
-    assert abs(out.w[0] - 2.0 / 9.0) < 1e-12
+    (z,), (w,) = pss_run_batch(quad_1d(), NOISELESS, cfg, [RngStream(0)])
+    assert abs(z[0] - 4.0 / 9.0) < 1e-12
+    assert abs(w[0] - 2.0 / 9.0) < 1e-12
 
 
 def test_sample_accounting(ball_problem, counting_noise):
     x0 = ball_problem.h.interior_point(ball_problem.dim)
     a = alpha_floor(37, 3.0, ball_problem.L)
     cfg = PssConfig(x0=x0, alpha=a, lam=3.0, inner_iters=37)
-    pss_run(ball_problem, counting_noise, cfg, RngStream(2))
+    pss_run_batch(ball_problem, counting_noise, cfg, [RngStream(2)])
     assert counting_noise.draws == 38
+
+
+def test_noiseless_draws_are_counted(ball_problem):
+    noise = CountingNoise(NOISELESS)
+    x0 = ball_problem.h.interior_point(ball_problem.dim)
+    cfg = PssConfig(x0=x0, alpha=alpha_floor(9, 3.0, ball_problem.L), lam=3.0, inner_iters=9)
+    pss_run_batch(ball_problem, noise, cfg, [RngStream(2).child("pss", j) for j in range(3)])
+    assert noise.draws == 3 * 10
 
 
 def test_replay_is_bitwise(ball_problem):
@@ -64,10 +72,10 @@ def test_replay_is_bitwise(ball_problem):
     x0 = ball_problem.h.interior_point(ball_problem.dim)
     a = alpha_floor(20, 3.0, ball_problem.L)
     cfg = PssConfig(x0=x0, alpha=a, lam=3.0, inner_iters=20)
-    one = pss_run(ball_problem, noise, cfg, RngStream(8).child("k", 1))
-    two = pss_run(ball_problem, noise, cfg, RngStream(8).child("k", 1))
-    assert np.array_equal(one.z, two.z)
-    assert np.array_equal(one.w, two.w)
+    one = pss_run_batch(ball_problem, noise, cfg, [RngStream(8).child("k", 1)])
+    two = pss_run_batch(ball_problem, noise, cfg, [RngStream(8).child("k", 1)])
+    assert np.array_equal(one[0], two[0])
+    assert np.array_equal(one[1], two[1])
 
 
 def test_averaged_iterate_reconstruction(ball_problem):
@@ -77,16 +85,16 @@ def test_averaged_iterate_reconstruction(ball_problem):
     I = 12
     a = alpha_floor(I, 3.0, ball_problem.L)
     xs = []
-    out = pss_run(
+    (z,), (w,) = pss_run_batch(
         ball_problem, noise, PssConfig(x0=x0, alpha=a, lam=3.0, inner_iters=I),
-        RngStream(3), observer=lambda i, s, S, x, y: xs.append(np.array(x)),
+        [RngStream(3)], observer=lambda i, G, S, X, Y: xs.append(np.array(X[0])),
     )
     coef = [a ** I] + [(1 - a) * a ** (I + 1 - i) for i in range(2, I + 2)]
     assert sum(coef) == pytest.approx(1.0, abs=1e-12)
     recon = sum(c * x for c, x in zip(coef, xs))
-    assert np.linalg.norm(recon - out.w) <= 1e-10
-    assert ball_problem.h.contains(out.w)
-    assert np.array_equal(xs[-1], out.z)
+    assert np.linalg.norm(recon - w) <= 1e-10
+    assert ball_problem.h.contains(w)
+    assert np.array_equal(xs[-1], z)
 
 
 def test_long_run_converges_noiseless():
@@ -95,22 +103,22 @@ def test_long_run_converges_noiseless():
     cfg = PssConfig(x0=np.array([1.0]), alpha=2.0 / 3.0, lam=1.0,
                     inner_iters=500, validated=False)
     with pytest.warns(UserWarning):
-        out = pss_run(quad_1d(), NOISELESS, cfg, RngStream(0))
-    assert abs(out.z[0] - 0.5) <= 1e-3
+        Z, _ = pss_run_batch(quad_1d(), NOISELESS, cfg, [RngStream(0)])
+    assert abs(Z[0, 0] - 0.5) <= 1e-3
 
 
 def test_alpha_floor_enforced(ball_problem):
     x0 = ball_problem.h.interior_point(ball_problem.dim)
     cfg = PssConfig(x0=x0, alpha=0.5, lam=3.0, inner_iters=50)
     with pytest.raises(ValidationError):
-        pss_run(ball_problem, NOISELESS, cfg, RngStream(1))
+        pss_run_batch(ball_problem, NOISELESS, cfg, [RngStream(1)])
 
 
 def test_center_outside_domain_rejected(ball_problem):
     far = np.full(ball_problem.dim, 50.0)
     cfg = PssConfig(x0=far, alpha=0.99, lam=3.0, inner_iters=10)
     with pytest.raises(DomainError):
-        pss_run(ball_problem, NOISELESS, cfg, RngStream(1))
+        pss_run_batch(ball_problem, NOISELESS, cfg, [RngStream(1)])
 
 
 def test_batch_matches_sequential(ball_problem):
@@ -125,9 +133,9 @@ def test_batch_matches_sequential(ball_problem):
     Z, W = pss_run_batch(ball_problem, noise, cfg, streams)
     assert Z.shape == W.shape == (6, ball_problem.dim)
     for j, s in enumerate(streams):
-        single = pss_run(ball_problem, noise, cfg, s)
-        assert np.allclose(Z[j], single.z, atol=1e-12)
-        assert np.allclose(W[j], single.w, atol=1e-12)
+        (z,), (w,) = pss_run_batch(ball_problem, noise, cfg, [s])
+        assert np.allclose(Z[j], z, atol=1e-12)
+        assert np.allclose(W[j], w, atol=1e-12)
 
 
 def test_batch_matches_sequential_finite_sum(finite_sum_problem):
@@ -139,9 +147,9 @@ def test_batch_matches_sequential_finite_sum(finite_sum_problem):
     streams = [RngStream(13).child("pss", j) for j in range(4)]
     Z, W = pss_run_batch(finite_sum_problem, oracle, cfg, streams)
     for j, s in enumerate(streams):
-        single = pss_run(finite_sum_problem, oracle, cfg, s)
-        assert np.allclose(Z[j], single.z, atol=1e-12)
-        assert np.allclose(W[j], single.w, atol=1e-12)
+        (z,), (w,) = pss_run_batch(finite_sum_problem, oracle, cfg, [s])
+        assert np.allclose(Z[j], z, atol=1e-12)
+        assert np.allclose(W[j], w, atol=1e-12)
 
 
 @pytest.mark.parametrize("noise", [NoiseModel(family="student_t", sigma=1.0, nu=3.0), NOISELESS])
@@ -161,8 +169,8 @@ def test_shifted_gap_nonnegative(ball_problem):
     a = alpha_floor(I, 3.0, ball_problem.L)
     cfg = PssConfig(x0=center, alpha=a, lam=3.0, inner_iters=I)
     for t in range(20):
-        out = pss_run(ball_problem, noise, cfg, RngStream(14).child("g", t))
-        assert shifted_value(ball_problem, out.w, center, 3.0) >= base - 1e-8
+        _, (w,) = pss_run_batch(ball_problem, noise, cfg, [RngStream(14).child("g", t)])
+        assert shifted_value(ball_problem, w, center, 3.0) >= base - 1e-8
 
 
 def test_config_validation():
