@@ -51,6 +51,6 @@ from .problems import (
 from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run_batch
 from .regularizers import Box, L1, L1Box, L2Ball, Zero, prox_map
 from .rng import RngStream
-from .selection import EuclideanMetric, bregman_dh, make_dh, rge, sts
+from .selection import bregman_dh, dh_potentials, euclidean_rows, gap_rows, rge, sts
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .problems import CompositeProblem
 from .rng import RngStream
-from .selection import EuclideanMetric, make_dh, rge, sts
+from .selection import dh_potentials, gap_rows, rge, sts
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,14 @@ def pb(
     if Z.ndim != 2 or Z.shape != W.shape:
         raise ValidationError(f"Z and W must be (n, dim) matrices of one shape, got {Z.shape}, {W.shape}")
     n = len(Z)
-    euclid = EuclideanMetric()
-    j_w = sts(W, euclid)
-    j_z = sts(Z, euclid)
+    j_w = sts(W)
+    j_z = sts(Z)
     both = np.intersect1d(j_w, j_z, assume_unique=True)
     if both.size == 0:
         raise RuntimeError("internal: selection passes have empty intersection")
     anchor = W[both[0]]
     s_bar = rge(problem, noise, anchor, n, cfg.q, stream.child("rge"))
-    metric = make_dh(problem.h, s_bar, anchor, cfg.z_bar, cfg.lam)
-    j_gap = sts(W, metric)
+    j_gap = sts(dh_potentials(problem.h, s_bar, anchor, cfg.z_bar, cfg.lam, W), gap_rows)
     final = np.intersect1d(both, j_gap, assume_unique=True)
     if final.size == 0:
         raise RuntimeError("internal: selection passes have empty intersection")

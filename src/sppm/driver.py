@@ -111,7 +111,8 @@ def derive_schedule(
     the dependent quantities are recomputed around them.  lam is 3/mu and
     alpha sits at its floor for the derived I.
 
-    Targets that overflow a derived quantity raise ValidationError.
+    Targets that overflow a derived quantity, round alpha's floor to 1
+    or underflow eps_k to 0 raise ValidationError.
     Infeasibility (no inner-iteration count meets the per-call target;
     the bias term has a floor of about 0.135*(sigma*D + L*D^2/2) once
     alpha sits at its own floor) is reported through feasible=False and
@@ -179,7 +180,11 @@ def derive_schedule(
             else:
                 I = 8
     alpha = alpha_floor(I, lam, L)
+    if alpha >= 1.0:
+        raise ValidationError(f"kappa={kappa:.6g} at I={I} is too ill-conditioned: alpha's floor rounds to 1")
     eps_k = finite("eps_k", epsilon_k_bound(alpha, I, lam, sigma, D, L))
+    if eps_k == 0.0:
+        raise ValidationError(f"eps_k underflows to 0 at sigma={sigma}, L={L}, D={D}")
     tau = tau_from_eps(eps_k, markov_c)
     q_min = q_floor(lam, mu, sigma, L, tau)
     q = int(ov.get("rge_batch", q_min))

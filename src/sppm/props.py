@@ -32,7 +32,7 @@ from .problems import (
 from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run_batch
 from .regularizers import Box, L1, L1Box, L2Ball, Zero, prox_map
 from .rng import RngStream
-from .selection import EuclideanMetric, bregman_dh, make_dh, rge, sts
+from .selection import bregman_dh, dh_potentials, rge, sts
 
 # Reference setup: quadratic over a ball, d = 10, mu = 1, L = 4,
 # domain diameter 1, prox stepsize 3, unit noise.
@@ -361,13 +361,13 @@ def check_pss_mean_bound(runs: int = 1000, inner_counts=(25, 50, 100, 200)):
 
 def check_sts_examples():
     scalars = np.array([0.0, 1.0, 2.0, 100.0])
-    j = sts(scalars, EuclideanMetric())
+    j = sts(scalars)
     if j.tolist() != [0, 1, 2]:
         return False, f"scalar example selected {j.tolist()}"
     same = np.zeros((7, 3))
-    if list(sts(same, EuclideanMetric())) != list(range(7)):
+    if list(sts(same)) != list(range(7)):
         return False, "identical points should all be admissible"
-    if list(sts(np.array([[3.0, 1.0]]), EuclideanMetric())) != [0]:
+    if list(sts(np.array([[3.0, 1.0]]))) != [0]:
         return False, "singleton should be admissible"
     return True, "worked example, identical-points, and singleton cases agree"
 
@@ -378,7 +378,7 @@ def check_sts_cardinality(rounds: int = 200):
         n = int(gen.integers(1, 60))
         d = int(gen.integers(1, 6))
         pts = gen.standard_normal((n, d)) * 10.0 ** gen.uniform(-2, 2)
-        j = sts(pts, EuclideanMetric())
+        j = sts(pts)
         m = (2 * n) // 3 + 1
         if len(j) < m:
             return False, f"round {t}: |J| = {len(j)} < m = {m} at n = {n}"
@@ -409,7 +409,7 @@ def check_sts_planted(configs: int = 200, n: int = 30):
     for t in range(configs):
         outliers = t % 10
         pts, target, eps = planted_cluster(gen, n, outliers)
-        for j in sts(pts, EuclideanMetric()):
+        for j in sts(pts):
             dist = float(np.linalg.norm(pts[j] - target))
             if dist > 3.0 * eps:
                 return False, f"config {t}: selected point at {dist:.3e} > 3 eps = {3*eps:.3e}"
@@ -419,7 +419,7 @@ def check_sts_planted(configs: int = 200, n: int = 30):
 def check_sts_ties():
     """Equidistant points tie at the threshold and all stay admissible."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    j = sts(pts, EuclideanMetric())
+    j = sts(pts)
     return j.tolist() == [0, 1, 2], f"equilateral triangle selected {j.tolist()}"
 
 
@@ -549,9 +549,9 @@ def check_metric_comparison(points: int = 1000):
     for _ in range(points):
         w_tilde = _interior(problem, gen)
         s_bar = problem.grad_f(w_tilde) + 0.3 * gen.standard_normal(problem.dim)
-        metric = make_dh(problem.h, s_bar, w_tilde, center, REF_LAM)
         x = _interior(problem, gen)
-        dh = metric.eval(x, z_hat)
+        phi_x, phi_z = dh_potentials(problem.h, s_bar, w_tilde, center, REF_LAM, np.stack([x, z_hat]))
+        dh = abs(phi_x - phi_z)
         breg = bregman_dh(problem.h, x, z_hat, g)
         radius = (
             float(np.linalg.norm(s_bar - problem.grad_f(z_hat)))

@@ -3,15 +3,14 @@
 sts keeps the indices whose m-th-nearest-neighbor radius (m = floor(2n/3)+1,
 self included) is at most the m-th smallest such radius; at least m > 2n/3
 indices always survive, and when a majority clusters within eps of some
-hidden point, every survivor lands within 3*eps of it.  rge applies sts
-to n batch-mean gradients.  The dh metric compares candidates through a
-linearized regularizer gap; it is a pseudo-metric (it can vanish between
-distinct points), which is all the selection argument needs.
+hidden point, every survivor lands within 3*eps of it.  sts reads the
+distance matrix one row block at a time, from euclidean_rows or, for the
+dh pseudo-metric of a linearized regularizer gap (it can vanish between
+distinct points, which is all the selection argument needs), from
+gap_rows over dh_potentials.  rge applies sts to n batch-mean gradients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,73 +18,47 @@ from .errors import DomainError, ValidationError
 from .problems import CompositeProblem, sample_gradient_batch
 from .rng import RngStream
 
-_ROW_BLOCK = 64  # bounds the (block, n, d) difference tensor
+_ROW_BLOCK = 64  # rows of the distance matrix sts holds at a time
 
 
-@dataclass(frozen=True)
-class EuclideanMetric:
-    def eval(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-
-    def pairwise(self, points: np.ndarray) -> np.ndarray:
-        P = np.asarray(points, dtype=float)
-        n = P.shape[0]
-        out = np.empty((n, n))
-        for lo in range(0, n, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, n)
-            diff = P[lo:hi, None, :] - P[None, :, :]
-            out[lo:hi] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(out, 0.0)
-        return out
+def euclidean_rows(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the Euclidean distance matrix of the rows of P."""
+    diff = P[lo:hi, None, :] - P[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-@dataclass(frozen=True)
-class DhMetric:
-    """d(x, y) = |h(x) - h(y) + <v, x - y>|, a pseudo-metric on dom h."""
-
-    h: object
-    v: np.ndarray
-
-    def _potential(self, x: np.ndarray) -> float:
-        hx = self.h.value(x)
-        if hx == np.inf:
-            raise DomainError("dh metric evaluated outside dom h")
-        return hx + float(np.dot(self.v, x))
-
-    def eval(self, x: np.ndarray, y: np.ndarray) -> float:
-        return abs(self._potential(np.asarray(x, float)) - self._potential(np.asarray(y, float)))
-
-    def pairwise(self, points: np.ndarray) -> np.ndarray:
-        P = np.asarray(points, dtype=float)
-        pots = P @ self.v
-        for j in range(P.shape[0]):
-            hj = self.h.value(P[j])
-            if hj == np.inf:
-                raise DomainError("dh metric evaluated outside dom h")
-            pots[j] += hj
-        out = np.abs(pots[:, None] - pots[None, :])
-        np.fill_diagonal(out, 0.0)
-        return out
+def gap_rows(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of |p_i - p_j| for the (n, 1) column P of potentials."""
+    return np.abs(P[lo:hi] - P[:, 0])
 
 
-def make_dh(h, s_bar: np.ndarray, w_tilde: np.ndarray, z_bar: np.ndarray, lam: float) -> DhMetric:
-    """Linearized-gap metric of one booster pass, for regularizer h,
+def dh_potentials(h, s_bar: np.ndarray, w_tilde: np.ndarray, z_bar: np.ndarray, lam: float,
+                  points: np.ndarray) -> np.ndarray:
+    """phi(x) = h(x) + <v, x> at each row x of points, for regularizer h,
     robust gradient estimate s_bar at the anchor w_tilde, prox center
     z_bar and prox stepsize lam: v = s_bar + (w_tilde - z_bar) / lam.
-    Built once, reused n^2 times."""
+    The dh pseudo-metric is d(x, y) = |phi(x) - phi(y)|."""
     v = np.asarray(s_bar, float) + (np.asarray(w_tilde, float) - np.asarray(z_bar, float)) / lam
     if not np.all(np.isfinite(v)):
         raise ValidationError("dh shift vector is not finite")
-    return DhMetric(h=h, v=v)
+    P = np.asarray(points, dtype=float)
+    pots = P @ v
+    for j in range(P.shape[0]):
+        hj = h.value(P[j])
+        if hj == np.inf:
+            raise DomainError("dh potential evaluated outside dom h")
+        pots[j] += hj
+    return pots
 
 
-def sts(points, metric) -> np.ndarray:
+def sts(points, rows=euclidean_rows) -> np.ndarray:
     """Second-tertile selection: ascending indices of the admissible set.
 
     rho_j is the m-th smallest of the n distances from point j (self
     distance 0 included), m = floor(2n/3) + 1; admissible means
     rho_j <= (m-th smallest rho).  Ties at the threshold stay in, so
-    the result always has more than 2n/3 members.
+    the result always has more than 2n/3 members.  rows(P, lo, hi) gives
+    rows lo:hi of the distance matrix; only the n radii outlive a block.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
@@ -94,8 +67,12 @@ def sts(points, metric) -> np.ndarray:
     if n < 1:
         raise ValidationError("sts needs at least one point")
     m = (2 * n) // 3 + 1
-    dist = metric.pairwise(P)
-    rho = np.partition(dist, m - 1, axis=1)[:, m - 1]
+    rho = np.empty(n)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        block = rows(P, lo, hi)
+        block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        rho[lo:hi] = np.partition(block, m - 1, axis=1)[:, m - 1]
     rho_bar = np.partition(rho, m - 1)[m - 1]
     return np.flatnonzero(rho <= rho_bar)
 
@@ -123,7 +100,7 @@ def rge(
         # without numpy's per-row reduction overhead.
         np.einsum("ij->j", batch, out=means[j])
     means /= q
-    admissible = sts(means, EuclideanMetric())
+    admissible = sts(means)
     return np.array(means[admissible[0]])
 
 

@@ -82,6 +82,8 @@ def test_benchmark_patches_install_and_restore():
     counts = tracer.spans()["counts"]
     assert counts["pss.row_steps"] == 2 * (2 * 2 * 3 * 7)
     assert seen_n == [3] * (2 * 2 * 2)  # algo.candidates per pb call, 2 trials x 2 steps x 2 configs
+    # four sts passes of n rows per outer step: three in pb, one in rge
+    assert counts["selection.candidates"] == 4 * 3 * (2 * 2 * 2)
     assert not tracer.errors
     for owner, saved in before:
         now = vars(owner)

@@ -129,6 +129,18 @@ def test_derive_overflowing_sigma_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_derive_ill_conditioned_mu_exits_2_without_traceback(tmp_path):
+    text = (ROOT / "configs" / "heavy_tail.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "tiny_mu.cfg"
+    path.write_text(text.replace("problem.mu = 1.0", "problem.mu = 1e-17"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "sppm", "derive", "--config", str(path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "too ill-conditioned" in proc.stderr and "kappa=" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("line", ["problem.radius = inf", "noise.sigma = nan", "algo.auto.eps = nan"])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, line):
     key = line.split(" = ")[0]

@@ -129,6 +129,18 @@ def test_overflowing_targets_raise_validation_error(changes, overrides, match):
         derive_schedule(**{**args, **changes}, overrides=overrides, mode="practical")
 
 
+@pytest.mark.parametrize("mu, overrides", [(1e-17, None), (1e-17, {"inner_iters": 5}), (1e-15, None)])
+def test_alpha_floor_rounding_to_one_blames_the_conditioning(mu, overrides):
+    with pytest.raises(ValidationError, match=r"kappa=4e\+1[57] at I=\d+ is too ill-conditioned"):
+        derive_schedule(mu, 4.0, 0.0, 1.0, 0.02, 0.05, overrides=overrides, mode="practical")
+
+
+@pytest.mark.parametrize("overrides", [None, {"inner_iters": 5}])
+def test_underflowing_eps_k_raises_validation_error(overrides):
+    with pytest.raises(ValidationError, match="eps_k underflows to 0"):
+        derive_schedule(1.0, 4.0, 0.0, 1e-200, 0.02, 0.05, overrides=overrides, mode="practical")
+
+
 def test_total_samples_formula():
     s = derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1,
                         overrides={"outer_iters": 3, "inner_iters": 10,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,35 +12,36 @@ from sppm.generate import generate_problem
 from sppm.noise import NoiseModel
 from sppm.problems import sample_gradient_batch
 from sppm.selection import (
-    EuclideanMetric,
     bregman_dh,
-    make_dh,
+    dh_potentials,
+    euclidean_rows,
+    gap_rows,
     rge,
     sts,
 )
-from sppm.regularizers import L2Ball, Zero
+from sppm.regularizers import L1, L2Ball, Zero
 from sppm.rng import RngStream
 
 
 def test_sts_scalar_example():
     # (0, 1, 2, 100): the far point is never admissible.
-    idx = sts(np.array([0.0, 1.0, 2.0, 100.0]), EuclideanMetric())
+    idx = sts(np.array([0.0, 1.0, 2.0, 100.0]))
     assert idx.tolist() == [0, 1, 2]
 
 
 def test_sts_identical_points_keep_everyone():
-    idx = sts(np.zeros((9, 3)), EuclideanMetric())
+    idx = sts(np.zeros((9, 3)))
     assert idx.tolist() == list(range(9))
 
 
 def test_sts_singleton():
-    assert sts(np.array([[4.2]]), EuclideanMetric()).tolist() == [0]
+    assert sts(np.array([[4.2]])).tolist() == [0]
 
 
 def test_sts_ties_all_in():
     # equilateral triangle: symmetry keeps all three
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    assert sts(pts, EuclideanMetric()).tolist() == [0, 1, 2]
+    assert sts(pts).tolist() == [0, 1, 2]
 
 
 def test_sts_cardinality_random():
@@ -46,47 +49,87 @@ def test_sts_cardinality_random():
     for _ in range(50):
         n = int(gen.integers(1, 40))
         pts = gen.standard_normal((n, 3))
-        idx = sts(pts, EuclideanMetric())
+        idx = sts(pts)
         assert len(idx) >= (2 * n) // 3 + 1
 
 
 @given(st.integers(1, 60))
 def test_sts_always_more_than_two_thirds(n):
     gen = RngStream(22).child("prop", n).generator(shared=False)
-    idx = sts(gen.standard_normal((n, 2)), EuclideanMetric())
+    idx = sts(gen.standard_normal((n, 2)))
     assert 3 * len(idx) > 2 * n
     assert np.all(np.diff(idx) > 0)
 
 
-def test_euclidean_pairwise_matches_eval():
+def test_euclidean_rows_match_norm_pairs():
     gen = RngStream(23).child("pair").generator(shared=False)
     pts = gen.standard_normal((12, 4))
-    m = EuclideanMetric()
-    D = m.pairwise(pts)
-    for i in range(12):
-        for j in range(12):
-            assert D[i, j] == pytest.approx(m.eval(pts[i], pts[j]), abs=1e-12)
+    for lo, hi in ((0, 12), (3, 7), (11, 12)):
+        D = euclidean_rows(pts, lo, hi)
+        assert D.shape == (hi - lo, 12)
+        for i in range(lo, hi):
+            for j in range(12):
+                assert D[i - lo, j] == pytest.approx(np.linalg.norm(pts[i] - pts[j]), abs=1e-12)
 
 
-def test_dh_metric_potential_difference():
+def test_dh_potentials_hand_formula():
     h = L2Ball(center=np.zeros(3), radius=2.0)
-    m = make_dh(h, s_bar=np.array([1.0, 0.0, -1.0]), w_tilde=np.array([0.5, 0.0, 0.0]),
-                z_bar=np.zeros(3), lam=2.0)
-    v = m.v
-    assert np.allclose(v, [1.25, 0.0, -1.0])
+    args = (np.array([1.0, 0.0, -1.0]), np.array([0.5, 0.0, 0.0]), np.zeros(3), 2.0)
+    v = np.array([1.25, 0.0, -1.0])  # s_bar + (w_tilde - z_bar) / lam
     x = np.array([0.1, 0.2, 0.3])
     y = np.array([-0.3, 0.0, 0.5])
-    want = abs(float(v @ (x - y)))  # h vanishes inside the ball
-    assert m.eval(x, y) == pytest.approx(want, abs=1e-12)
-    D = m.pairwise(np.stack([x, y]))
-    assert D[0, 1] == pytest.approx(want, abs=1e-12)
-    with pytest.raises(DomainError):
-        m.eval(np.array([5.0, 0.0, 0.0]), y)
+    pots = dh_potentials(h, *args, np.stack([x, y]))
+    assert pots == pytest.approx([v @ x, v @ y], abs=1e-12)  # h vanishes inside the ball
+    gaps = gap_rows(pots[:, None], 0, 2)
+    assert gaps[0, 1] == gaps[1, 0] == pytest.approx(abs(float(v @ (x - y))), abs=1e-12)
+    l1 = L1(weight=0.5)
+    assert dh_potentials(l1, *args, x[None, :]) == pytest.approx([0.5 * 0.6 + v @ x], abs=1e-12)
+    with pytest.raises(DomainError, match="outside dom h"):
+        dh_potentials(h, *args, np.stack([x, np.array([5.0, 0.0, 0.0])]))
 
 
 def test_dh_rejects_non_finite_shift():
     with pytest.raises(ValidationError, match="not finite"):
-        make_dh(Zero(), np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2), 1.0)
+        dh_potentials(Zero(), np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2), 1.0, np.zeros((3, 2)))
+
+
+def _full_matrix_sts(dist):
+    """sts from a whole n x n distance matrix, as selection did before blocking."""
+    n = len(dist)
+    m = (2 * n) // 3 + 1
+    np.fill_diagonal(dist, 0.0)
+    rho = np.partition(dist, m - 1, axis=1)[:, m - 1]
+    return np.flatnonzero(rho <= np.partition(rho, m - 1)[m - 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 288])
+def test_blocking_does_not_change_selection(n):
+    gen = RngStream(28).child("blocks", n).generator(shared=False)
+    distinct = gen.standard_normal((max(1, n // 3), 3))
+    cases = [
+        gen.standard_normal((n, 3)),
+        distinct[gen.integers(0, len(distinct), size=n)],  # duplicated points
+    ]
+    for P in cases:
+        diff = P[:, None, :] - P[None, :, :]
+        full = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        assert np.array_equal(sts(P), _full_matrix_sts(full))
+    for pots in (gen.standard_normal(n), gen.integers(0, 4, size=n).astype(float)):  # equal potentials
+        full = np.abs(pots[:, None] - pots[None, :])
+        assert np.array_equal(sts(pots, gap_rows), _full_matrix_sts(full))
+
+
+@pytest.mark.parametrize("rows, shape", [(euclidean_rows, (4096, 2)), (gap_rows, (4096,))])
+def test_sts_memory_is_linear_in_n(rows, shape):
+    # the full 4096 x 4096 distance matrix alone would be 128 MiB
+    points = RngStream(29).child("mem").generator(shared=False).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        sts(points, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_bregman_dh_zero_at_anchor():
@@ -133,7 +176,7 @@ def test_rge_means_are_bitwise_batch_means(monkeypatch, dim):
     ]
     seen = []
 
-    def keep_all(points, metric):
+    def keep_all(points, rows=None):
         seen.append(points.copy())
         return np.arange(len(points))
 
@@ -170,5 +213,5 @@ def test_rge_rejects_far_outlier_mean(ball_problem):
         means = g + 0.01 * gen.standard_normal((n, 4))
         bad = gen.integers(0, n, size=4)
         means[bad] = 1e6
-        idx = sts(means, EuclideanMetric())
+        idx = sts(means)
         assert not set(idx.tolist()) & set(bad.tolist())
