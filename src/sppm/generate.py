@@ -23,6 +23,7 @@ exactly, and instances are a pure function of the instance seed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -140,10 +141,25 @@ def _ridge_l1_box(spec, gen) -> CompositeProblem:
     def grad_rows(X):
         return X @ M - Aty  # M symmetric
 
-    # take() gathers rows several times faster than fancy indexing.
+    # A call of N or more rows reads a table of all N component
+    # gradients at x, built once per point and thread: rge asks for n
+    # batches of q rows at one point.  Shorter calls gather their rows.
+    # Both paths take the row-wise einsum dot (a BLAS product rounds
+    # differently with the row count), so they agree bit for bit.
+    cell = threading.local()
+
     def component_grad(x, idx):
+        if len(idx) >= N:
+            key = x.tobytes()
+            cached = getattr(cell, "table", None)
+            if cached is None or cached[0] != key:
+                table = A * (np.einsum("ij,j->i", A, x) - y)[:, None]
+                table += ridge * x
+                cell.table = cached = (key, table)
+            return cached[1].take(idx, axis=0)
+        # take() gathers rows several times faster than fancy indexing.
         rows = A.take(idx, axis=0)
-        out = rows * (rows @ x - y.take(idx))[:, None]
+        out = rows * (np.einsum("ij,j->i", rows, x) - y.take(idx))[:, None]
         out += ridge * x
         return out
 

@@ -110,10 +110,17 @@ def sample_gradient_batch(
         raise ValidationError(f"sample count must be >= 1, got {count}")
     if not problem.h.contains(x):
         raise DomainError("sampling point lies outside dom h")
-    gen = stream.generator()
+    return draw_gradients(problem, noise, np.asarray(x, float), count, stream.generator())
+
+
+def draw_gradients(
+    problem: CompositeProblem, noise, x: np.ndarray, count: int, gen: np.random.Generator
+) -> np.ndarray:
+    """The next `count` gradient estimates at x drawn from gen, with no
+    domain check.  Drawing m and then k rows from one generator gives
+    the same rows as drawing m + k at once."""
     if isinstance(noise, FiniteSumOracle):
-        idx = gen.integers(0, noise.count, size=count)
-        return noise.component_grad(np.asarray(x, float), idx)
+        return noise.component_grad(x, gen.integers(0, noise.count, size=count))
     batch = noise.draw(gen, count, problem.dim)
     batch += problem.grad_f(x)
     return batch

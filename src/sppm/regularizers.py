@@ -134,7 +134,7 @@ class Box:
 
     def contains(self, x):
         x = np.asarray(x)
-        return bool(np.all(x >= self._lo_widened) and np.all(x <= self._hi_widened))
+        return bool(((x >= self._lo_widened) & (x <= self._hi_widened)).all())
 
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))

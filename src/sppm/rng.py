@@ -11,6 +11,7 @@ inside a parallel batch.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from dataclasses import dataclass, field
@@ -30,14 +31,33 @@ SEED_RANGE = range(-(2**63), 2**63)
 _local = threading.local()
 
 
-def _digest(master_seed: int, path: tuple[tuple[str, int], ...]) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    try:
+def _update(h, label: str, index: int) -> None:
+    h.update(_PATH_SEP)
+    h.update(label.encode())
+    h.update(int(index).to_bytes(8, "little", signed=True))
+
+
+# Hash states of recently used parent paths: a child's digest copies its
+# parent's state and hashes only its own segment (rge derives hundreds
+# of children of one stream per call).  Bounded, and never updated in
+# place, so threads can share it.
+@functools.lru_cache(maxsize=1024)
+def _prefix(master_seed: int, path: tuple[tuple[str, int], ...]):
+    if path:
+        h = _prefix(master_seed, path[:-1]).copy()
+        _update(h, *path[-1])
+    else:
+        h = hashlib.blake2b(digest_size=16)
         h.update(int(master_seed).to_bytes(8, "little", signed=True))
-        for label, index in path:
-            h.update(_PATH_SEP)
-            h.update(label.encode())
-            h.update(int(index).to_bytes(8, "little", signed=True))
+    return h
+
+
+def _digest(master_seed: int, path: tuple[tuple[str, int], ...]) -> bytes:
+    try:
+        if not path:
+            return _prefix(master_seed, path).digest()
+        h = _prefix(master_seed, path[:-1]).copy()
+        _update(h, *path[-1])
     except OverflowError:
         raise ValidationError(f"seed {master_seed} or an index in {path} is not signed 64-bit") from None
     return h.digest()

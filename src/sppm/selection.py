@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .problems import CompositeProblem, sample_gradient_batch
+from . import problems
+# sample_gradient_batch is looked up here by perfbench's tracer.
+from .problems import CompositeProblem, draw_gradients, sample_gradient_batch  # noqa: F401
 from .rng import RngStream
 
 _ROW_BLOCK = 64  # rows of the distance matrix sts holds at a time
@@ -89,16 +91,26 @@ def rge(
 
     Runs sts on the means under the Euclidean metric and returns the
     mean with the smallest admissible index; consumes exactly n*q
-    samples, batch j drawing on substream ("rge-batch", j).
+    samples, batch j drawing on substream ("rge-batch", j).  A batch is
+    drawn and summed in chunks of at most PLAN_VALUES values, so memory
+    does not grow with q.
     """
     if n < 1 or q < 1:
         raise ValidationError(f"rge needs n >= 1 and q >= 1, got n={n}, q={q}")
+    x = np.asarray(x, float)
+    if not problem.h.contains(x):
+        raise DomainError("sampling point lies outside dom h")
+    chunk = max(1, problems.PLAN_VALUES // problem.dim)
     means = np.empty((n, problem.dim))
     for j in range(n):
-        batch = sample_gradient_batch(problem, noise, x, q, stream.child("rge-batch", j))
-        # Adds the rows in order, as batch.mean(axis=0) does for dim >= 2,
-        # without numpy's per-row reduction overhead.
-        np.einsum("ij->j", batch, out=means[j])
+        gen = stream.child("rge-batch", j).generator()
+        for start in range(0, q, chunk):
+            batch = draw_gradients(problem, noise, x, min(chunk, q - start), gen)
+            if start:
+                batch[0] += means[j]  # the running sum, carried in as the first row
+            # Adds the rows in order, as batch.mean(axis=0) does for dim >= 2,
+            # without numpy's per-row reduction overhead.
+            np.einsum("ij->j", batch, out=means[j])
     means /= q
     admissible = sts(means)
     return np.array(means[admissible[0]])

@@ -1,4 +1,6 @@
 import inspect
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,7 +97,8 @@ def test_finite_sum_oracle_wiring():
 
 def test_component_oracles_match_fancy_index_expressions():
     # the take() gathers and in-place ridge terms keep every bit of the
-    # plain indexing expressions they replace
+    # plain indexing expressions they replace; the dot product is the
+    # row-wise einsum, which rounds alike at every row count
     p = generate_problem(spec("ridge-l1-box", dim=8, components=200), 5)
     oracle = p.meta["oracle"]
     env = inspect.getclosurevars(oracle.component_grad).nonlocals
@@ -106,10 +109,74 @@ def test_component_oracles_match_fancy_index_expressions():
         x = gen.uniform(-1.0, 1.0, size=8)
         X = gen.uniform(-1.0, 1.0, size=(count, 8))
         rows = A[idx]
-        want = rows * (rows @ x - y[idx])[:, None] + ridge * x[None, :]
+        want = rows * (np.einsum("ij,j->i", rows, x) - y[idx])[:, None] + ridge * x[None, :]
         assert np.array_equal(oracle.component_grad(x, idx), want)
         want_rows = rows * (np.einsum("ij,ij->i", rows, X) - y[idx])[:, None] + ridge * X
         assert np.array_equal(oracle.component_grad_rows(X, idx), want_rows)
+
+
+def _ridge_oracle(N=200, d=8):
+    p = generate_problem(spec("ridge-l1-box", dim=d, components=N), 5)
+    return p.meta["oracle"], inspect.getclosurevars(p.meta["oracle"].component_grad).nonlocals
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 199, 200, 3000])
+def test_component_table_matches_full_pool(count):
+    # calls of N or more rows read the per-point table, shorter ones
+    # gather; every row is the same bits either way, built or reused
+    oracle, _ = _ridge_oracle()
+    gen = RngStream(41).child("table", count).generator(shared=False)
+    for _ in range(3):
+        x = gen.uniform(-1.0, 1.0, size=8)
+        idx = gen.integers(0, 200, size=count)
+        first = oracle.component_grad(x, idx)
+        pool = oracle.component_grad(x, np.arange(200))
+        again = oracle.component_grad(x, idx)
+        assert np.array_equal(first, pool[idx])
+        assert np.array_equal(again, pool[idx])
+
+
+def test_component_table_does_not_leak_into_single_rows():
+    # an SGD-style run of one-row calls at changing points, between
+    # table builds, gives the direct formula at each point
+    oracle, env = _ridge_oracle()
+    A, y, ridge = env["A"], env["y"], env["ridge"]
+    gen = RngStream(42).generator(shared=False)
+    x0 = gen.uniform(-1.0, 1.0, size=8)
+    table = oracle.component_grad(x0, np.arange(200))
+    x = x0.copy()
+    for _ in range(50):
+        i = gen.integers(0, 200, size=1)
+        row = A[i]
+        want = row * (np.einsum("ij,j->i", row, x) - y[i])[:, None] + ridge * x
+        assert np.array_equal(oracle.component_grad(x, i), want)
+        x = x - 0.01 * want[0]
+    assert np.array_equal(oracle.component_grad(x0, np.arange(200)), table)
+
+
+def test_component_table_is_per_thread():
+    # two threads alternating between two points read the same bits as
+    # one thread does
+    oracle, _ = _ridge_oracle()
+    gen = RngStream(43).generator(shared=False)
+    points = gen.uniform(-1.0, 1.0, size=(2, 8))
+    idx = gen.integers(0, 200, size=(2, 3000))
+    want = [oracle.component_grad(points[k], idx[k]) for k in range(2)]
+    barrier = threading.Barrier(2)
+
+    def alternate(first):
+        out = []
+        for r in range(40):
+            k = (first + r) % 2
+            barrier.wait()
+            out.append((k, oracle.component_grad(points[k], idx[k])))
+        return out
+
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        runs = list(ex.map(alternate, (0, 1)))
+    for run in runs:
+        for k, got in run:
+            assert np.array_equal(got, want[k])
 
 
 def test_validation_errors():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -117,6 +119,16 @@ def test_box_contains_matches_slack_formula():
                 x = mid.copy()
                 x[i] = value
                 assert box.contains(x) == old(x) == inside, (i, value)
+
+
+def test_box_contains_rejects_nan():
+    # the one fused comparison keeps the per-coordinate semantics: a NaN
+    # coordinate is outside, and a list is a point like an array
+    box = Box.symmetric(1.0, 3)
+    assert box.contains([0.0, 1.0, -1.0])
+    assert not box.contains(np.array([0.0, np.nan, 0.0]))
+    assert not box.contains(np.array([0.0, 0.0, 1.5]))
+    assert L1Box(weight=0.1, box=box).value(np.array([np.nan, 0.0, 0.0])) == math.inf
 
 
 def test_ball_validation():

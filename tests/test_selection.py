@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sppm import selection
+from sppm import problems, selection
 from sppm.config import ProblemSpec
 from sppm.errors import DomainError, ValidationError
 from sppm.generate import generate_problem
 from sppm.noise import NoiseModel
 from sppm.problems import sample_gradient_batch
+from sppm.props import CountingNoise
 from sppm.selection import (
     bregman_dh,
     dh_potentials,
@@ -192,6 +194,71 @@ def test_rge_means_are_bitwise_batch_means(monkeypatch, dim):
             ])
             assert np.array_equal(seen.pop(), want), (noise, q)
             assert np.array_equal(out, want[0])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "student_t", "rademacher", "sphere", "finite_sum"])
+def test_rge_chunks_match_one_shot_batches(monkeypatch, family):
+    # a batch drawn and summed in chunks, the running sum carried into
+    # each next chunk as its first row, equals the one-shot batch mean
+    # bit for bit, and every drawn sample is counted once
+    dim = 4
+    if family == "finite_sum":
+        problem = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=dim, mu=1.0, L=3.0,
+                                               box_halfwidth=1.0, components=40, instance_seed=2), 2)
+        oracle = problem.meta["oracle"]
+        counted = [0]
+
+        def component_grad(x, idx):
+            counted[0] += len(idx)
+            return oracle.component_grad(x, idx)
+
+        noise = dataclasses.replace(oracle, component_grad=component_grad)
+    else:
+        problem = generate_problem(ProblemSpec(kind="quadratic-ball", dim=dim, mu=1.0, L=4.0,
+                                               radius=0.5, instance_seed=2), 2)
+        noise = CountingNoise(NoiseModel(family=family, sigma=1.0))
+    seen = []
+
+    def keep_all(points, rows=None):
+        seen.append(points.copy())
+        return np.arange(len(points))
+
+    monkeypatch.setattr(selection, "sts", keep_all)
+    x = problem.h.interior_point(dim) + 0.1
+    for q in (1, 9, 10, 19, 3000):
+        s = RngStream(32).child("chunks", q)
+        want = np.array([
+            sample_gradient_batch(problem, noise, x, q, s.child("rge-batch", j)).mean(axis=0)
+            for j in range(3)
+        ])
+        with monkeypatch.context() as m:
+            m.setattr(problems, "PLAN_VALUES", 37)  # 9 rows of dim 4 per chunk
+            before = counted[0] if family == "finite_sum" else noise.draws
+            rge(problem, noise, x, 3, q, s)
+            after = counted[0] if family == "finite_sum" else noise.draws
+        assert np.array_equal(seen.pop(), want), q
+        assert after - before == 3 * q
+
+
+@pytest.mark.parametrize("kind", ["additive", "finite_sum"])
+def test_rge_memory_does_not_grow_with_q(kind):
+    # one batch of q = 2^21 rows at dim 4 would be 64 MiB in one piece
+    if kind == "finite_sum":
+        problem = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=4, mu=1.0, L=3.0,
+                                               box_halfwidth=1.0, components=40, instance_seed=3), 3)
+        noise = problem.meta["oracle"]
+    else:
+        problem = generate_problem(ProblemSpec(kind="quadratic-ball", dim=4, mu=1.0, L=4.0,
+                                               radius=0.5, instance_seed=3), 3)
+        noise = NoiseModel(family="gaussian", sigma=1.0)
+    x = problem.h.interior_point(4)
+    tracemalloc.start()
+    try:
+        rge(problem, noise, x, 2, 2**21, RngStream(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_rge_validation(ball_problem):
