@@ -39,9 +39,10 @@ def _update(h, label: str, index: int) -> None:
 
 # Hash states of recently used parent paths: a child's digest copies its
 # parent's state and hashes only its own segment (rge derives hundreds
-# of children of one stream per call).  Bounded, and never updated in
-# place, so threads can share it.
-@functools.lru_cache(maxsize=1024)
+# of children of one stream per call).  A run uses a few parents at a
+# time, so a small bound keeps the hits; an entry is about 750 bytes.
+# States are never updated in place, so threads can share them.
+@functools.lru_cache(maxsize=64)
 def _prefix(master_seed: int, path: tuple[tuple[str, int], ...]):
     if path:
         h = _prefix(master_seed, path[:-1]).copy()
