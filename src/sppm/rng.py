@@ -55,10 +55,9 @@ def _prefix(master_seed: int, path: tuple[tuple[str, int], ...]):
 
 def _digest(master_seed: int, path: tuple[tuple[str, int], ...]) -> bytes:
     try:
-        if not path:
-            return _prefix(master_seed, path).digest()
         h = _prefix(master_seed, path[:-1]).copy()
-        _update(h, *path[-1])
+        if path:
+            _update(h, *path[-1])
     except OverflowError:
         raise ValidationError(f"seed {master_seed} or an index in {path} is not signed 64-bit") from None
     return h.digest()

@@ -115,8 +115,8 @@ def test_component_oracles_match_fancy_index_expressions():
         assert np.array_equal(oracle.component_grad_rows(X, idx), want_rows)
 
 
-def _ridge_oracle(N=200, d=8):
-    p = generate_problem(spec("ridge-l1-box", dim=d, components=N), 5)
+def _ridge_oracle():
+    p = generate_problem(spec("ridge-l1-box", dim=8, components=200), 5)
     return p.meta["oracle"], inspect.getclosurevars(p.meta["oracle"].component_grad).nonlocals
 
 
