@@ -143,9 +143,11 @@ def _ridge_l1_box(spec, gen) -> CompositeProblem:
 
     # A call of N or more rows reads a table of all N component
     # gradients at x, built once per point and thread: rge asks for n
-    # batches of q rows at one point.  Shorter calls gather their rows.
-    # Both paths take the row-wise einsum dot (a BLAS product rounds
-    # differently with the row count), so they agree bit for bit.
+    # batches of q rows at one point.  Shorter calls (SGD's one row per
+    # step) gather their rows.  Both take the dot product row by row
+    # with vecdot, so they agree bit for bit at every row count (a BLAS
+    # product `rows @ x` rounds differently with the row count; on one
+    # row it gives the same bits as vecdot).
     cell = threading.local()
 
     def component_grad(x, idx):
@@ -153,13 +155,13 @@ def _ridge_l1_box(spec, gen) -> CompositeProblem:
             key = x.tobytes()
             cached = getattr(cell, "table", None)
             if cached is None or cached[0] != key:
-                table = A * (np.einsum("ij,j->i", A, x) - y)[:, None]
+                table = A * (np.vecdot(A, x) - y)[:, None]
                 table += ridge * x
                 cell.table = cached = (key, table)
             return cached[1].take(idx, axis=0)
         # take() gathers rows several times faster than fancy indexing.
         rows = A.take(idx, axis=0)
-        out = rows * (np.einsum("ij,j->i", rows, x) - y.take(idx))[:, None]
+        out = rows * (np.vecdot(rows, x) - y.take(idx))[:, None]
         out += ridge * x
         return out
 

@@ -2,12 +2,14 @@
 
 f is mu-strongly convex with L-Lipschitz gradient, h is a regularizer
 with a cheap prox, and dom h has finite diameter.  Stochastic access
-goes through sample_gradient_batch (a batch of samples at one point)
-and RowSampler, which plans the samples of sequential steps, one row
-per stream, in chunks of at most PLAN_VALUES values.  The inner solver
-reads a RowSampler with one row per solve; GradientSampler is the
-one-stream RowSampler that the SGD baseline reads one vector at a time,
-one plan per trial on ("sgd-trial", t).  The noise argument is either
+goes through sample_gradient_batch (a batch of samples at one point,
+checked against dom h), draw_gradients (its unchecked body, which rge
+calls chunk by chunk after one check per call) and RowSampler, which
+plans the samples of sequential steps, one row per stream, in chunks
+of at most PLAN_VALUES values.  The inner solver reads a RowSampler
+with one row per solve; GradientSampler is the one-stream RowSampler
+that the SGD baseline reads one vector at a time, one plan per trial
+on ("sgd-trial", t).  The noise argument is either
 an additive NoiseModel or a FiniteSumOracle that samples component
 gradients.  exact_prox_point is the deterministic reference solve used
 for ground truth, never inside the stochastic path.

@@ -11,7 +11,6 @@ inside a parallel batch.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 from dataclasses import dataclass, field
@@ -31,33 +30,14 @@ SEED_RANGE = range(-(2**63), 2**63)
 _local = threading.local()
 
 
-def _update(h, label: str, index: int) -> None:
-    h.update(_PATH_SEP)
-    h.update(label.encode())
-    h.update(int(index).to_bytes(8, "little", signed=True))
-
-
-# Hash states of recently used parent paths: a child's digest copies its
-# parent's state and hashes only its own segment (rge derives hundreds
-# of children of one stream per call).  A run uses a few parents at a
-# time, so a small bound keeps the hits; an entry is about 750 bytes.
-# States are never updated in place, so threads can share them.
-@functools.lru_cache(maxsize=64)
-def _prefix(master_seed: int, path: tuple[tuple[str, int], ...]):
-    if path:
-        h = _prefix(master_seed, path[:-1]).copy()
-        _update(h, *path[-1])
-    else:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(int(master_seed).to_bytes(8, "little", signed=True))
-    return h
-
-
 def _digest(master_seed: int, path: tuple[tuple[str, int], ...]) -> bytes:
+    h = hashlib.blake2b(digest_size=16)
     try:
-        h = _prefix(master_seed, path[:-1]).copy()
-        if path:
-            _update(h, *path[-1])
+        h.update(int(master_seed).to_bytes(8, "little", signed=True))
+        for label, index in path:
+            h.update(_PATH_SEP)
+            h.update(label.encode())
+            h.update(int(index).to_bytes(8, "little", signed=True))
     except OverflowError:
         raise ValidationError(f"seed {master_seed} or an index in {path} is not signed 64-bit") from None
     return h.digest()

@@ -98,7 +98,7 @@ def test_finite_sum_oracle_wiring():
 def test_component_oracles_match_fancy_index_expressions():
     # the take() gathers and in-place ridge terms keep every bit of the
     # plain indexing expressions they replace; the dot product is the
-    # row-wise einsum, which rounds alike at every row count
+    # row-wise vecdot, which rounds alike at every row count
     p = generate_problem(spec("ridge-l1-box", dim=8, components=200), 5)
     oracle = p.meta["oracle"]
     env = inspect.getclosurevars(oracle.component_grad).nonlocals
@@ -109,7 +109,7 @@ def test_component_oracles_match_fancy_index_expressions():
         x = gen.uniform(-1.0, 1.0, size=8)
         X = gen.uniform(-1.0, 1.0, size=(count, 8))
         rows = A[idx]
-        want = rows * (np.einsum("ij,j->i", rows, x) - y[idx])[:, None] + ridge * x[None, :]
+        want = rows * (np.vecdot(rows, x) - y[idx])[:, None] + ridge * x[None, :]
         assert np.array_equal(oracle.component_grad(x, idx), want)
         want_rows = rows * (np.einsum("ij,ij->i", rows, X) - y[idx])[:, None] + ridge * X
         assert np.array_equal(oracle.component_grad_rows(X, idx), want_rows)
@@ -137,8 +137,8 @@ def test_component_table_matches_full_pool(count):
 
 
 def test_component_table_does_not_leak_into_single_rows():
-    # an SGD-style run of one-row calls at changing points, between
-    # table builds, gives the direct formula at each point
+    # an SGD-style run of one-row calls at changing points, after a
+    # table build, gives the BLAS formula the SGD path has always used
     oracle, env = _ridge_oracle()
     A, y, ridge = env["A"], env["y"], env["ridge"]
     gen = RngStream(42).generator(shared=False)
@@ -148,7 +148,7 @@ def test_component_table_does_not_leak_into_single_rows():
     for _ in range(50):
         i = gen.integers(0, 200, size=1)
         row = A[i]
-        want = row * (np.einsum("ij,j->i", row, x) - y[i])[:, None] + ridge * x
+        want = row * (row @ x - y[i])[:, None] + ridge * x
         assert np.array_equal(oracle.component_grad(x, i), want)
         x = x - 0.01 * want[0]
     assert np.array_equal(oracle.component_grad(x0, np.arange(200)), table)

@@ -1,4 +1,3 @@
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sppm import rng
 from sppm.errors import ValidationError
 from sppm.rng import SEED_RANGE, RngStream
 
@@ -90,45 +88,10 @@ def test_seed_and_index_outside_64_bits_rejected():
             bad.token()
 
 
-def _full_path_digest(master_seed, path):
-    h = hashlib.blake2b(digest_size=16)
-    h.update(master_seed.to_bytes(8, "little", signed=True))
-    for label, index in path:
-        h.update(b"\x1f" + label.encode() + index.to_bytes(8, "little", signed=True))
-    return h.digest()
-
-
-@pytest.mark.parametrize("depth", range(5))
-def test_prefix_hashing_matches_full_path_hash(depth):
-    # children hash only their own segment onto the parent's cached
-    # state; token and both generators still follow the full-path hash
-    path = tuple((label, index) for label, index in
-                 zip(("trial", "outer", "rge-batch", "x", "y"), (3, -1, 2**63 - 1, 0, 17)))[:depth]
-    s = RngStream(-5)
-    for label, index in path:
-        s = s.child(label, index)
-    d = _full_path_digest(-5, path)
-    words = np.array([int.from_bytes(d[:8], "little"), int.from_bytes(d[8:], "little")],
-                     dtype=np.uint64)
-    want = np.random.Generator(np.random.Philox(key=words)).standard_normal(6)
-    assert s.token() == int.from_bytes(d[:8], "little")
-    assert np.array_equal(s.generator().standard_normal(6), want)
-    assert np.array_equal(s.generator(shared=False).standard_normal(6), want)
-
-
 def test_child_of_deep_parent_outside_64_bits_rejected():
     parent = RngStream(0).child("a", 1).child("b", 2)
-    parent.generator()  # its prefix is now cached
     for bad in (parent.child("x", 2**63), parent.child("x", -(2**63) - 1).child("y", 0)):
         with pytest.raises(ValidationError, match="signed 64-bit"):
             bad.generator()
         with pytest.raises(ValidationError):
             bad.token()
-
-
-def test_prefix_cache_stays_bounded():
-    for i in range(10_000):
-        RngStream(11).child("parent", i).child("leaf", 0).token()
-    info = rng._prefix.cache_info()
-    assert info.currsize <= info.maxsize
-    assert info.maxsize is not None
