@@ -173,6 +173,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("finite_sum noise is only available for ridge-l1-box")
     if nz.sigma < 0.0:
         raise ConfigError(f"noise.sigma must be >= 0, got {nz.sigma}")
+    if nz.family == "finite_sum" and nz.sigma != 0.0:
+        raise ConfigError(
+            f"noise.sigma must be 0 with finite_sum noise, which estimates its variance "
+            f"from the component pool; got {nz.sigma}"
+        )
     if nz.family == "student_t" and nz.nu <= 2.0:
         raise ConfigError(f"noise.nu must exceed 2, got {nz.nu}")
     if algo.eps <= 0.0:

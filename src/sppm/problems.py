@@ -134,53 +134,6 @@ def draw_gradients(
 PLAN_VALUES = 1 << 17
 
 
-class _ChunkedPlan:
-    """The stochastic part of `count` sequential steps on each of
-    `streams`: additive noise rows, or finite-sum component indices.
-
-    Steps are drawn in chunks into one reused step-major buffer of shape
-    (chunk, len(streams), dim), or (chunk, len(streams)) for indices,
-    holding at most PLAN_VALUES values (one step at least).  Each stream
-    keeps its own generator between chunks, so the values are
-    bit-identical to drawing all `count` steps at once, and the last
-    chunk draws exactly the remainder.  Steps must be read in order
-    0, 1, 2, ...; chunks are drawn on the reading thread.
-    """
-
-    __slots__ = ("buffer", "start", "stop", "_count", "_streams", "_gens", "_draw")
-
-    def __init__(self, noise, count: int, streams, dim: int):
-        n = len(streams)
-        if isinstance(noise, FiniteSumOracle):
-            chunk = max(1, min(count, PLAN_VALUES // n))
-            self.buffer = np.empty((chunk, n), dtype=np.int64)
-            self._draw = lambda gen, m: gen.integers(0, noise.count, size=m)
-        else:
-            chunk = max(1, min(count, PLAN_VALUES // (n * dim)))
-            self.buffer = np.empty((chunk, n, dim))
-            self._draw = lambda gen, m: noise.draw(gen, m, dim)
-        self._count = count
-        self._streams = streams
-        # A one-chunk plan draws on the cheap thread-shared generator;
-        # longer plans hold an independent generator per stream.
-        self._gens = None if chunk == count else [s.generator(shared=False) for s in streams]
-        self.start = self.stop = 0
-        self.advance(0)
-
-    def advance(self, i: int) -> None:
-        """Draw the chunk that begins at step i, the step after the last one drawn."""
-        if i != self.stop or i >= self._count:
-            raise ValidationError(
-                f"plan of {self._count} steps is read in order: step {i} requested "
-                f"while steps {self.start}..{self.stop - 1} are drawn"
-            )
-        m = min(len(self.buffer), self._count - i)
-        out = self.buffer[:m]
-        for j, s in enumerate(self._streams):
-            out[:, j] = self._draw(s.generator() if self._gens is None else self._gens[j], m)
-        self.start, self.stop = i, i + m
-
-
 def _rows_of(grad):
     """Row-loop form of a pointwise gradient: (n, dim) -> (n, dim)."""
     return lambda X: np.array([grad(x) for x in X])
@@ -199,35 +152,64 @@ class RowSampler:
     Row j's plan is drawn on streams[j] alone, so its values do not
     depend on how many rows run beside it.  Noise rows and component
     indices do not depend on the query point, so they are drawn ahead,
-    one generator setup per stream, through one step-major buffer of at
-    most PLAN_VALUES values (see _ChunkedPlan).  sample_rows(i, X)
-    returns the i-th sample of every row, evaluated row-wise at X, and
-    must be called with i = 0, 1, 2, ....  A problem without grad_rows,
-    or an oracle without component_grad_rows, is evaluated by a loop
-    over the rows.
+    one generator setup per stream, in chunks into one reused step-major
+    buffer of shape (chunk, n, dim), or (chunk, n) for indices, holding
+    at most PLAN_VALUES values (one step at least).  Each stream keeps
+    its own generator between chunks, so the values are bit-identical
+    to drawing all `count` steps at once, and the last chunk draws
+    exactly the remainder.  sample_rows(i, X) returns the i-th sample of
+    every row, evaluated row-wise at X, and must be called with
+    i = 0, 1, 2, ...; chunks are drawn on the calling thread.  A problem
+    without grad_rows, or an oracle without component_grad_rows, is
+    evaluated by a loop over the rows.
     """
 
-    __slots__ = ("_grad_rows", "_component_rows", "_noise", "_indices", "_plan")
+    __slots__ = ("_grad_rows", "_component_rows", "_noise", "_indices", "_draw",
+                 "_count", "_streams", "_gens", "_start", "_stop")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, streams):
         if count < 1:
             raise ValidationError(f"sample count must be >= 1, got {count}")
+        n, dim = len(streams), problem.dim
         self._grad_rows = problem.grad_rows or _rows_of(problem.grad_f)
         self._component_rows = self._noise = self._indices = None
-        self._plan = _ChunkedPlan(noise, count, streams, problem.dim)
         if isinstance(noise, FiniteSumOracle):
             self._component_rows = noise.component_grad_rows or _component_rows_of(noise.component_grad)
-            self._indices = self._plan.buffer
+            chunk = max(1, min(count, PLAN_VALUES // n))
+            self._indices = np.empty((chunk, n), dtype=np.int64)
+            self._draw = lambda gen, m: gen.integers(0, noise.count, size=m)
         else:
-            self._noise = self._plan.buffer
+            chunk = max(1, min(count, PLAN_VALUES // (n * dim)))
+            self._noise = np.empty((chunk, n, dim))
+            self._draw = lambda gen, m: noise.draw(gen, m, dim)
+        self._count = count
+        self._streams = streams
+        # A one-chunk plan draws on the cheap thread-shared generator;
+        # longer plans hold an independent generator per stream.
+        self._gens = None if chunk == count else [s.generator(shared=False) for s in streams]
+        self._start = self._stop = 0
+        self._advance(0)
+
+    def _advance(self, i: int) -> None:
+        """Draw the chunk that begins at step i, the step after the last one drawn."""
+        if i != self._stop or i >= self._count:
+            raise ValidationError(
+                f"plan of {self._count} steps is read in order: step {i} requested "
+                f"while steps {self._start}..{self._stop - 1} are drawn"
+            )
+        buffer = self._noise if self._indices is None else self._indices
+        m = min(len(buffer), self._count - i)
+        out = buffer[:m]
+        for j, s in enumerate(self._streams):
+            out[:, j] = self._draw(s.generator() if self._gens is None else self._gens[j], m)
+        self._start, self._stop = i, i + m
 
     def sample_rows(self, i: int, X: np.ndarray) -> np.ndarray:
-        plan = self._plan
-        if not plan.start <= i < plan.stop:
-            plan.advance(i)
+        if not self._start <= i < self._stop:
+            self._advance(i)
         if self._indices is not None:
-            return self._component_rows(X, self._indices[i - plan.start])
-        return self._grad_rows(X) + self._noise[i - plan.start]
+            return self._component_rows(X, self._indices[i - self._start])
+        return self._grad_rows(X) + self._noise[i - self._start]
 
 
 class GradientSampler(RowSampler):
@@ -246,12 +228,11 @@ class GradientSampler(RowSampler):
 
     def sample(self, i: int, x: np.ndarray) -> np.ndarray:
         """i-th planned gradient sample, evaluated at x."""
-        plan = self._plan
-        if not plan.start <= i < plan.stop:
-            plan.advance(i)
+        if not self._start <= i < self._stop:
+            self._advance(i)
         if self._indices is not None:
-            return self._component(x, self._indices[i - plan.start])[0]
-        return self._grad(x) + self._noise[i - plan.start, 0]
+            return self._component(x, self._indices[i - self._start])[0]
+        return self._grad(x) + self._noise[i - self._start, 0]
 
 
 def minimize_composite(

@@ -76,8 +76,11 @@ def test_benchmark_patches_install_and_restore():
         for kind, family, sigma in (("quadratic-ball", "gaussian", 1.0),
                                     ("ridge-l1-box", "finite_sum", 0.0)):
             cfg = parse_config(CONFIG.format(kind=kind, family=family, sigma=sigma))
+            tracer.plan_bytes_max = 0
             report = harness.run_trials(cfg)
             assert len(report.records) == 2
+            # the plan buffers are read from the sampler slots of both noise kinds
+            assert 0 < tracer.plan_bytes_max <= problems.PLAN_VALUES * 8, family
     # 2 trials x 2 outer steps x 3 candidates x 7 inner steps, per config
     counts = tracer.spans()["counts"]
     assert counts["pss.row_steps"] == 2 * (2 * 2 * 3 * 7)

@@ -6,19 +6,7 @@ import pytest
 from sppm.booster import PbConfig, pb, q_floor, tau_from_eps
 from sppm.errors import ValidationError
 from sppm.noise import NoiseModel
-from sppm.problems import CompositeProblem
-from sppm.regularizers import Zero
 from sppm.rng import RngStream
-
-
-def diag_quad(d=4):
-    eigs = np.arange(1.0, d + 1.0)
-    return CompositeProblem(
-        dim=d,
-        f=lambda x: 0.5 * float(np.sum(eigs * x * x)),
-        grad_f=lambda x: eigs * x,
-        h=Zero(), mu=1.0, L=float(d),
-    )
 
 
 def rows_at(points):
@@ -39,46 +27,6 @@ def test_q_floor_frozen():
     # sigma=1, L=2, tau=0.5: ceil(72/6) = 12
     assert q_floor(3.0, 1.0, 1.0, 2.0, 0.5) == 12
     assert q_floor(3.0, 1.0, 0.0, 2.0, 0.5) == 1  # noiseless floor
-
-
-def test_identical_pairs_select_the_common_point():
-    problem = diag_quad()
-    z = np.full(4, 0.1)
-    Z, W = rows_at([z] * 6)
-    cfg = PbConfig(q=2, lam=3.0, z_bar=np.zeros(4))
-    out = pb(Z, W, cfg, problem, NoiseModel(family="gaussian", sigma=0.0),
-             RngStream(51))
-    assert np.array_equal(out.selected[0], z)
-    for s in out.index_sets:
-        assert list(s) == list(range(6))
-
-
-def test_noiseless_outlier_excluded():
-    problem = diag_quad()
-    good = np.full(4, 0.05)
-    far = np.full(4, 10.0)
-    Z, W = rows_at([good, good, far, good])
-    cfg = PbConfig(q=2, lam=3.0, z_bar=np.zeros(4))
-    out = pb(Z, W, cfg, problem, NoiseModel(family="gaussian", sigma=0.0),
-             RngStream(52))
-    assert out.selected_index != 2
-    for s in out.index_sets:
-        assert 2 not in set(np.asarray(s).tolist())
-
-
-def test_structure_sizes_and_accounting(ball_problem, counting_noise):
-    gen = RngStream(53).child("pts").generator(shared=False)
-    n, q = 12, 3
-    pts = 0.05 * gen.standard_normal((n, ball_problem.dim))
-    Z, W = rows_at(pts)
-    cfg = PbConfig(q=q, lam=3.0, z_bar=ball_problem.h.interior_point(ball_problem.dim))
-    out = pb(Z, W, cfg, ball_problem, counting_noise, RngStream(54))
-    assert counting_noise.draws == n * q
-    assert out.samples_used == n * q
-    for s in out.index_sets:
-        assert 3 * len(s) > 2 * n
-        assert out.selected_index in set(np.asarray(s).tolist())
-    assert np.array_equal(out.selected[1], W[out.selected_index])
 
 
 def test_pb_replay_bitwise(ball_problem):

@@ -100,6 +100,15 @@ def test_value_validation():
         parse_config(BASE.replace("noise.nu = 3.0", "noise.nu = 2.0"))
 
 
+def test_finite_sum_rejects_a_nonzero_sigma():
+    text = (BASE.replace("quadratic-ball", "ridge-l1-box")
+            .replace("problem.radius = 0.5", "problem.box_halfwidth = 1.0")
+            .replace("student_t", "finite_sum"))
+    with pytest.raises(ConfigError, match="noise.sigma must be 0 with finite_sum"):
+        parse_config(text)
+    assert parse_config(text.replace("noise.sigma = 1.0", "noise.sigma = 0.0")).noise.sigma == 0.0
+
+
 def test_missing_equals_sign():
     with pytest.raises(ConfigError, match="expected"):
         parse_config("problem.kind quadratic-ball\n")

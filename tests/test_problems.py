@@ -11,7 +11,6 @@ from sppm.problems import (
     GradientSampler,
     RowSampler,
     evaluate_phi,
-    exact_prox_point,
     minimize_phi,
     sample_gradient_batch,
     shifted_value,
@@ -196,49 +195,12 @@ def test_samplers_reject_empty_plans(ball_problem, sigma):
         GradientSampler(ball_problem, noise, 0, RngStream(23))
 
 
-def test_exact_prox_point_closed_form():
-    # argmin f(x) + ||x - x0||^2/(2 lam) for quadratic f is
-    # (A + I/lam)^-1 (A b + x0/lam); h = Zero keeps it unconstrained.
-    gen = RngStream(44).child("quad").generator(shared=False)
-    for _ in range(20):
-        d = int(gen.integers(2, 7))
-        q, r = np.linalg.qr(gen.standard_normal((d, d)))
-        eigs = gen.uniform(0.5, 4.0, size=d)
-        A = (q * eigs) @ q.T
-        b = gen.standard_normal(d)
-        Ab = A @ b
-        p = CompositeProblem(
-            dim=d,
-            f=lambda x, A=A, b=b: 0.5 * float((x - b) @ A @ (x - b)),
-            grad_f=lambda x, A=A, Ab=Ab: A @ x - Ab,
-            h=Zero(), mu=float(eigs.min()), L=float(eigs.max()),
-        )
-        x0 = gen.standard_normal(d)
-        lam = float(10.0 ** gen.uniform(-0.5, 0.8))
-        want = np.linalg.solve(A + np.eye(d) / lam, Ab + x0 / lam)
-        got = exact_prox_point(p, x0, lam, tol=1e-12)
-        assert np.linalg.norm(got - want) <= 1e-8
-
-
 def test_minimize_phi_first_order_optimality(ball_problem):
     x = minimize_phi(ball_problem, np.zeros(ball_problem.dim), tol=1e-10)
     # fixed point of the prox-gradient map at any stepsize
     t = 1.0 / ball_problem.L
     step = prox_map(ball_problem.h, x - t * ball_problem.grad_f(x), t)
     assert np.linalg.norm(step - x) <= 1e-8
-
-
-def test_curvature_envelope(ball_problem):
-    gen = RngStream(46).child("curv").generator(shared=False)
-    mu, L = ball_problem.mu, ball_problem.L
-    for _ in range(200):
-        x = 0.4 * gen.standard_normal(ball_problem.dim)
-        y = 0.4 * gen.standard_normal(ball_problem.dim)
-        gap = ball_problem.f(y) - ball_problem.f(x) - float(
-            ball_problem.grad_f(x) @ (y - x)
-        )
-        dd = float(np.sum((y - x) ** 2))
-        assert mu / 2.0 * dd - 1e-9 <= gap <= L / 2.0 * dd + 1e-9
 
 
 def test_grad_rows_matches_grad(ball_problem, finite_sum_problem):

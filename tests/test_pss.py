@@ -7,7 +7,7 @@ from sppm.config import ProblemSpec
 from sppm.errors import DomainError, ValidationError
 from sppm.noise import NoiseModel
 from sppm.generate import generate_problem
-from sppm.problems import CompositeProblem, exact_prox_point, shifted_value
+from sppm.problems import CompositeProblem
 from sppm.props import CountingNoise
 from sppm.pss import (
     PssConfig,
@@ -40,23 +40,6 @@ def test_epsilon_k_bound_frozen_value():
     # alpha = 37/38, I = 50, lam = 3, sigma = 1, D = 1, L = 4
     got = epsilon_k_bound(37.0 / 38.0, 50, 3.0, 1.0, 1.0, 4.0)
     assert got == pytest.approx(0.8507289278658652, abs=1e-14)
-
-
-def test_hand_worked_noiseless_example():
-    # 1-D f = x^2/2, h = 0, x0 = 1, lam = 1, alpha = 2/3, I = 2.
-    # Unrolled by hand: x1=0, x2=1/3, x3=4/9; y3 = 2/9.
-    cfg = PssConfig(x0=np.array([1.0]), alpha=2.0 / 3.0, lam=1.0, inner_iters=2)
-    (z,), (w,) = pss_run_batch(quad_1d(), NOISELESS, cfg, [RngStream(0)])
-    assert abs(z[0] - 4.0 / 9.0) < 1e-12
-    assert abs(w[0] - 2.0 / 9.0) < 1e-12
-
-
-def test_sample_accounting(ball_problem, counting_noise):
-    x0 = ball_problem.h.interior_point(ball_problem.dim)
-    a = alpha_floor(37, 3.0, ball_problem.L)
-    cfg = PssConfig(x0=x0, alpha=a, lam=3.0, inner_iters=37)
-    pss_run_batch(ball_problem, counting_noise, cfg, [RngStream(2)])
-    assert counting_noise.draws == 38
 
 
 def test_noiseless_draws_are_counted(ball_problem):
@@ -158,19 +141,6 @@ def test_batch_rejects_empty_stream_list(ball_problem, noise):
     cfg = PssConfig(x0=x0, alpha=alpha_floor(5, 3.0, ball_problem.L), lam=3.0, inner_iters=5)
     with pytest.raises(ValidationError, match="at least one stream"):
         pss_run_batch(ball_problem, noise, cfg, [])
-
-
-def test_shifted_gap_nonnegative(ball_problem):
-    noise = NoiseModel(family="gaussian", sigma=1.0)
-    center = ball_problem.h.interior_point(ball_problem.dim)
-    z_hat = exact_prox_point(ball_problem, center, 3.0, tol=1e-12)
-    base = shifted_value(ball_problem, z_hat, center, 3.0)
-    I = 30
-    a = alpha_floor(I, 3.0, ball_problem.L)
-    cfg = PssConfig(x0=center, alpha=a, lam=3.0, inner_iters=I)
-    for t in range(20):
-        _, (w,) = pss_run_batch(ball_problem, noise, cfg, [RngStream(14).child("g", t)])
-        assert shifted_value(ball_problem, w, center, 3.0) >= base - 1e-8
 
 
 def test_config_validation():

@@ -25,36 +25,6 @@ from sppm.regularizers import L1, L2Ball, Zero
 from sppm.rng import RngStream
 
 
-def test_sts_scalar_example():
-    # (0, 1, 2, 100): the far point is never admissible.
-    idx = sts(np.array([0.0, 1.0, 2.0, 100.0]))
-    assert idx.tolist() == [0, 1, 2]
-
-
-def test_sts_identical_points_keep_everyone():
-    idx = sts(np.zeros((9, 3)))
-    assert idx.tolist() == list(range(9))
-
-
-def test_sts_singleton():
-    assert sts(np.array([[4.2]])).tolist() == [0]
-
-
-def test_sts_ties_all_in():
-    # equilateral triangle: symmetry keeps all three
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    assert sts(pts).tolist() == [0, 1, 2]
-
-
-def test_sts_cardinality_random():
-    gen = RngStream(21).child("card").generator(shared=False)
-    for _ in range(50):
-        n = int(gen.integers(1, 40))
-        pts = gen.standard_normal((n, 3))
-        idx = sts(pts)
-        assert len(idx) >= (2 * n) // 3 + 1
-
-
 @given(st.integers(1, 60))
 def test_sts_always_more_than_two_thirds(n):
     gen = RngStream(22).child("prop", n).generator(shared=False)
@@ -139,28 +109,6 @@ def test_bregman_dh_zero_at_anchor():
     z = np.array([0.3, -0.4])
     g = np.array([1.0, 2.0])
     assert bregman_dh(h, z, z, g) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_rge_noiseless_equals_gradient(ball_problem):
-    noise = NoiseModel(family="gaussian", sigma=0.0)
-    x = ball_problem.h.interior_point(ball_problem.dim)
-    out = rge(ball_problem, noise, x, 9, 4, RngStream(24))
-    assert np.allclose(out, ball_problem.grad_f(x), atol=1e-14)
-
-
-def test_rge_degenerate_single_batch(ball_problem):
-    noise = NoiseModel(family="gaussian", sigma=1.0)
-    x = ball_problem.h.interior_point(ball_problem.dim)
-    s = RngStream(25).child("deg")
-    out = rge(ball_problem, noise, x, 1, 1, s)
-    direct = sample_gradient_batch(ball_problem, noise, x, 1, s.child("rge-batch", 0))[0]
-    assert np.array_equal(out, direct)
-
-
-def test_rge_accounting(ball_problem, counting_noise):
-    x = ball_problem.h.interior_point(ball_problem.dim)
-    rge(ball_problem, counting_noise, x, 7, 5, RngStream(26))
-    assert counting_noise.draws == 35
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 10, 17])
