@@ -78,8 +78,8 @@ def pb(
     stream: RngStream,
 ) -> PbOutcome:
     """Select one of the n candidates whose last and averaged iterates
-    are the rows of Z and W; consumes exactly n*q oracle samples (the
-    RGE call).
+    are the rows of Z and W; consumes exactly n*q oracle samples, all
+    drawn by the RGE call on substream ("rge").
 
     All tie-breaking is smallest-index, so the outcome is a pure
     function of (Z, W, cfg, problem, noise, stream).

@@ -89,7 +89,7 @@ def evaluate_phi(problem: CompositeProblem, x: np.ndarray) -> float:
     hx = problem.h.value(x)
     if hx == math.inf:
         return math.inf
-    return float(problem.f(x)) + hx
+    return float(problem.f(x)) + float(hx)
 
 
 def shifted_value(problem: CompositeProblem, x: np.ndarray, center: np.ndarray, lam: float) -> float:

@@ -435,12 +435,12 @@ def check_rge_noiseless():
 
 def check_rge_degenerate():
     problem = reference_problem()
-    noise = _gaussian()
+    noise = CountingNoise(_gaussian())
     x = problem.h.center
     stream = RngStream(114).child("deg")
     out = rge(problem, noise, x, 1, 1, stream)
-    direct = sample_gradient_batch(problem, noise, x, 1, stream.child("rge-batch", 0))[0]
-    return np.array_equal(out, direct), "n = q = 1 returns the lone sample"
+    ok = noise.draws == 1 and np.array_equal(out, sample_gradient_batch(problem, noise, x, 1, stream)[0])
+    return ok, "n = q = 1 draws once and returns that sample, the first draw on its stream"
 
 
 def check_rge_accounting(n: int = 12, q: int = 5):

@@ -9,7 +9,8 @@ used by the solvers:
 
 prox_rows applies the same map to each row of a matrix; the batched
 inner solver leans on it to advance many candidates per step.  Where
-one body serves both shapes, prox_rows is an alias of prox.
+one body serves both shapes, prox_rows is an alias of prox.  value and
+contains reduce over the last axis: per row, bit-equal to one-row calls.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Zero:
     """h = 0 on all of R^d."""
 
     def value(self, x):
-        return 0.0
+        return np.zeros(np.shape(x)[:-1])[()]
 
     def prox(self, y, t):
         return np.array(y, dtype=float)
@@ -46,7 +47,7 @@ class Zero:
     prox_rows = prox
 
     def contains(self, x):
-        return True
+        return np.ones(np.shape(x)[:-1], dtype=bool)[()]
 
     def diameter(self):
         return math.inf
@@ -68,7 +69,7 @@ class L2Ball:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
     def value(self, x):
-        return 0.0 if self.contains(x) else math.inf
+        return np.where(self.contains(x), 0.0, math.inf)[()]
 
     def prox(self, y, t):
         d = y - self.center
@@ -85,8 +86,7 @@ class L2Ball:
 
     def contains(self, x):
         d = np.asarray(x) - self.center
-        nrm = math.sqrt(float(d @ d))
-        return nrm <= self.radius * (1.0 + _DOM_RTOL) + 1e-15
+        return np.sqrt(np.vecdot(d, d)) <= self.radius * (1.0 + _DOM_RTOL) + 1e-15
 
     def diameter(self):
         return 2.0 * self.radius
@@ -125,7 +125,7 @@ class Box:
         return cls(-b, b)
 
     def value(self, x):
-        return 0.0 if self.contains(x) else math.inf
+        return np.where(self.contains(x), 0.0, math.inf)[()]
 
     def prox(self, y, t):
         return np.clip(y, self.lo, self.hi)
@@ -134,7 +134,7 @@ class Box:
 
     def contains(self, x):
         x = np.asarray(x)
-        return bool(((x >= self._lo_widened) & (x <= self._hi_widened)).all())
+        return ((x >= self._lo_widened) & (x <= self._hi_widened)).all(axis=-1)
 
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
@@ -160,7 +160,7 @@ class L1:
             raise ValidationError(f"l1 weight must be nonnegative, got {self.weight}")
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * np.sum(np.abs(x), axis=-1)
 
     def prox(self, y, t):
         return _soft_threshold(y, t * self.weight)
@@ -168,7 +168,7 @@ class L1:
     prox_rows = prox
 
     def contains(self, x):
-        return True
+        return np.ones(np.shape(x)[:-1], dtype=bool)[()]
 
     def diameter(self):
         return math.inf
@@ -193,9 +193,7 @@ class L1Box:
             raise ValidationError(f"l1 weight must be nonnegative, got {self.weight}")
 
     def value(self, x):
-        if not self.box.contains(x):
-            return math.inf
-        return self.weight * float(np.sum(np.abs(x)))
+        return np.where(self.box.contains(x), self.weight * np.sum(np.abs(x), axis=-1), math.inf)[()]
 
     def prox(self, y, t):
         return np.clip(_soft_threshold(y, t * self.weight), self.box.lo, self.box.hi)

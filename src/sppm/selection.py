@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from . import problems
 # sample_gradient_batch is looked up here by perfbench's tracer.
 from .problems import CompositeProblem, draw_gradients, sample_gradient_batch  # noqa: F401
@@ -24,9 +24,12 @@ _ROW_BLOCK = 64  # rows of the distance matrix sts holds at a time
 
 
 def euclidean_rows(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of the Euclidean distance matrix of the rows of P."""
-    diff = P[lo:hi, None, :] - P[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    """Rows lo:hi of the Euclidean distance matrix of the rows of P, summed
+    by coordinate: exactly symmetric, 0 between equal rows, blocking-free."""
+    out = np.zeros((hi - lo, P.shape[0]))
+    for k in range(P.shape[1]):
+        out += np.square(P[lo:hi, k, None] - P[:, k])
+    return np.sqrt(out, out=out)
 
 
 def gap_rows(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -44,13 +47,10 @@ def dh_potentials(h, s_bar: np.ndarray, w_tilde: np.ndarray, z_bar: np.ndarray, 
     if not np.all(np.isfinite(v)):
         raise ValidationError("dh shift vector is not finite")
     P = np.asarray(points, dtype=float)
-    pots = P @ v
-    for j in range(P.shape[0]):
-        hj = h.value(P[j])
-        if hj == np.inf:
-            raise DomainError("dh potential evaluated outside dom h")
-        pots[j] += hj
-    return pots
+    hP = h.value(P)
+    if np.any(hP == np.inf):
+        raise DomainError("dh potential evaluated outside dom h")
+    return P @ v + hP
 
 
 def sts(points, rows=euclidean_rows) -> np.ndarray:
@@ -58,9 +58,10 @@ def sts(points, rows=euclidean_rows) -> np.ndarray:
 
     rho_j is the m-th smallest of the n distances from point j (self
     distance 0 included), m = floor(2n/3) + 1; admissible means
-    rho_j <= (m-th smallest rho).  Ties at the threshold stay in, so
-    the result always has more than 2n/3 members.  rows(P, lo, hi) gives
-    rows lo:hi of the distance matrix; only the n radii outlive a block.
+    rho_j <= (m-th smallest rho).  Ties at the threshold stay in, so the
+    result always has more than 2n/3 members; non-finite points, which no
+    threshold admits, raise ValidationError.  rows(P, lo, hi) gives rows
+    lo:hi of the distance matrix; only the n radii outlive a block.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
@@ -68,6 +69,8 @@ def sts(points, rows=euclidean_rows) -> np.ndarray:
     n = P.shape[0]
     if n < 1:
         raise ValidationError("sts needs at least one point")
+    if not np.isfinite(P).all():
+        raise ValidationError("sts points are not finite")
     m = (2 * n) // 3 + 1
     rho = np.empty(n)
     for lo in range(0, n, _ROW_BLOCK):
@@ -91,29 +94,29 @@ def rge(
 
     Runs sts on the means under the Euclidean metric and returns the
     mean with the smallest admissible index; consumes exactly n*q
-    samples, batch j drawing on substream ("rge-batch", j).  A batch is
-    drawn and summed in chunks of at most PLAN_VALUES values, so memory
-    does not grow with q.
+    samples on one generator of `stream`, step-major (draw row i*n + j
+    is sample i of batch j), drawn and summed in chunks of whole steps
+    of at most PLAN_VALUES values, so memory does not grow with q.  A
+    non-finite mean raises NumericError naming its batch.
     """
     if n < 1 or q < 1:
         raise ValidationError(f"rge needs n >= 1 and q >= 1, got n={n}, q={q}")
     x = np.asarray(x, float)
     if not problem.h.contains(x):
         raise DomainError("sampling point lies outside dom h")
-    chunk = max(1, problems.PLAN_VALUES // problem.dim)
-    means = np.empty((n, problem.dim))
-    for j in range(n):
-        gen = stream.child("rge-batch", j).generator()
-        for start in range(0, q, chunk):
-            batch = draw_gradients(problem, noise, x, min(chunk, q - start), gen)
-            if start:
-                batch[0] += means[j]  # the running sum, carried in as the first row
-            # Adds the rows in order, as batch.mean(axis=0) does for dim >= 2,
-            # without numpy's per-row reduction overhead.
-            np.einsum("ij->j", batch, out=means[j])
-    means /= q
-    admissible = sts(means)
-    return np.array(means[admissible[0]])
+    sums = np.zeros(n * problem.dim)
+    chunk = max(1, problems.PLAN_VALUES // sums.size)
+    gen = stream.generator()  # shared: nothing else draws on it until rge returns
+    for start in range(0, q, chunk):
+        steps = draw_gradients(problem, noise, x, n * min(chunk, q - start), gen).reshape(-1, sums.size)
+        steps[0] += sums  # the running sums, carried in as the first row
+        # Adds the steps in order, as each batch's mean(axis=0) does for dim >= 2.
+        np.einsum("ij->j", steps, out=sums)
+    means = sums.reshape(n, problem.dim) / q
+    finite = np.isfinite(means).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"rge batch mean {int(np.argmin(finite))} is not finite")
+    return np.array(means[sts(means)[0]])
 
 
 def bregman_dh(h, x: np.ndarray, z_hat: np.ndarray, g: np.ndarray) -> float:
@@ -122,8 +125,7 @@ def bregman_dh(h, x: np.ndarray, z_hat: np.ndarray, g: np.ndarray) -> float:
     and g its exact shifted gradient (then -g is a subgradient of h)."""
     x = np.asarray(x, float)
     z_hat = np.asarray(z_hat, float)
-    hx = h.value(x)
-    hz = h.value(z_hat)
+    hx, hz = h.value(np.stack([x, z_hat]))
     if hx == np.inf or hz == np.inf:
         raise DomainError("bregman_dh evaluated outside dom h")
     return hx - hz + float(np.dot(np.asarray(g, float), x - z_hat))

@@ -241,6 +241,26 @@ def test_non_finite_gradient_raises_at_its_outer_step():
     assert len(err.value.partial_record.iterates) == 1
 
 
+def test_non_finite_rge_mean_raises_with_partial_record():
+    # grad_f is read only by rge's additive draws; a NaN there at outer
+    # step 2 surfaces as rge's NumericError, not as an empty selection
+    cfg = load_config(str(CONFIGS / "quadratic_gaussian.cfg"))
+    problem = build_problem(cfg)
+    calls = 0
+
+    def grad_f(x):
+        nonlocal calls
+        calls += 1
+        g = problem.grad_f(x)
+        return g * np.nan if calls == 2 else g
+
+    planted = replace(problem, grad_f=grad_f)
+    with pytest.raises(NumericError, match="rge batch mean 0 is not finite") as err:
+        sppm_run(planted, build_noise(cfg, problem), build_schedule(cfg, problem),
+                 initial_iterate(problem), RngStream(cfg.run.master_seed))
+    assert len(err.value.partial_record.iterates) == 1
+
+
 def test_sppm_run_noiseless_converges(ball_problem):
     s = derive_schedule(
         ball_problem.mu, ball_problem.L, 0.0, ball_problem.diameter, 0.05, 0.1,

@@ -79,6 +79,24 @@ def test_prox_rows_matches_prox(h):
 
 
 @pytest.mark.parametrize("h", ALL, ids=lambda h: type(h).__name__)
+def test_value_and_contains_rows_match_one_row_calls(h):
+    # on an (m, d) matrix, value and contains give the m one-row results
+    # bit for bit: inside, on the boundary (prox outputs), outside and
+    # non-finite rows alike
+    gen = RngStream(34).child("vrows").generator(shared=False)
+    X = np.concatenate([
+        0.3 * gen.standard_normal((9, 4)),
+        h.prox_rows(3.0 * gen.standard_normal((9, 4)), 0.5),
+        3.0 * gen.standard_normal((9, 4)),
+        [[np.nan, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0], [-0.0, 0.0, -0.0, 0.0]],
+    ])
+    values, inside = h.value(X), h.contains(X)
+    assert values.shape == inside.shape == (len(X),) and inside.dtype == bool
+    assert values.tobytes() == np.array([h.value(x) for x in X]).tobytes()
+    assert inside.tolist() == [bool(h.contains(x)) for x in X]
+
+
+@pytest.mark.parametrize("h", ALL, ids=lambda h: type(h).__name__)
 def test_interior_point_in_domain(h):
     assert h.contains(h.interior_point(4))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sppm import problems, selection
 from sppm.config import ProblemSpec
-from sppm.errors import DomainError, ValidationError
+from sppm.errors import DomainError, NumericError, ValidationError
 from sppm.generate import generate_problem
 from sppm.noise import NoiseModel
 from sppm.problems import sample_gradient_batch
@@ -58,6 +58,33 @@ def test_dh_potentials_hand_formula():
     assert dh_potentials(l1, *args, x[None, :]) == pytest.approx([0.5 * 0.6 + v @ x], abs=1e-12)
     with pytest.raises(DomainError, match="outside dom h"):
         dh_potentials(h, *args, np.stack([x, np.array([5.0, 0.0, 0.0])]))
+
+
+def test_euclidean_rows_symmetric_exact_and_block_free():
+    # the coordinate loop gives a matrix symmetric bit for bit, exactly 0
+    # between duplicate rows, and rows that do not depend on the block
+    gen = RngStream(24).child("exact").generator(shared=False)
+    distinct = gen.standard_normal((40, 8)) * 10.0 ** gen.integers(-3, 4, size=(40, 1))
+    P = distinct[gen.integers(0, 40, size=150)]
+    full = euclidean_rows(P, 0, 150)
+    assert np.array_equal(full, full.T)
+    assert np.all((full == 0.0) == (P[:, None, :] == P[None, :, :]).all(axis=2))
+    for lo, hi in ((0, 64), (64, 128), (128, 150), (7, 8), (30, 99)):
+        assert np.array_equal(euclidean_rows(P, lo, hi), full[lo:hi])
+
+
+def test_sts_rejects_non_finite_points():
+    # a NaN distance is admitted by no threshold, so the promise of more
+    # than 2n/3 members cannot hold: the points are refused instead
+    P = np.zeros((5, 2))
+    for bad in (np.nan, np.inf):
+        P[3, 1] = bad
+        with pytest.raises(ValidationError, match="not finite"):
+            sts(P)
+        with pytest.raises(ValidationError, match="not finite"):
+            sts(P[:, 1], gap_rows)
+    with pytest.raises(ValidationError, match="not finite"):
+        sts(np.full((4, 3), np.nan))
 
 
 def test_dh_rejects_non_finite_shift():
@@ -111,10 +138,18 @@ def test_bregman_dh_zero_at_anchor():
     assert bregman_dh(h, z, z, g) == pytest.approx(0.0, abs=1e-15)
 
 
+def _step_major_means(problem, noise, x, n, q, stream):
+    """Batch means of a one-shot n*q draw on stream, row i*n + j being
+    sample i of batch j."""
+    draws = sample_gradient_batch(problem, noise, x, n * q, stream)
+    return np.array([draws.reshape(q, n, -1)[:, j].mean(axis=0) for j in range(n)])
+
+
 @pytest.mark.parametrize("dim", [2, 3, 8, 10, 17])
 def test_rge_means_are_bitwise_batch_means(monkeypatch, dim):
-    # rge's in-order row sums divided by q must equal mean(axis=0) bit
-    # for bit, on every family of batch the booster draws
+    # rge's in-order step sums divided by q must equal mean(axis=0) of
+    # each batch's rows of one step-major draw bit for bit, on every
+    # family of batch the booster draws, at n = 3 and n = 288
     quad = generate_problem(ProblemSpec(kind="quadratic-ball", dim=dim, mu=1.0, L=4.0,
                                         radius=0.5, instance_seed=dim), dim)
     ridge = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=dim, mu=1.0, L=3.0,
@@ -133,22 +168,20 @@ def test_rge_means_are_bitwise_batch_means(monkeypatch, dim):
     monkeypatch.setattr(selection, "sts", keep_all)
     for problem, noise in cases:
         x = problem.h.interior_point(dim) + 0.1
-        for q in (1, 2, 3, 7, 3000):
-            s = RngStream(31).child("bits", q)
-            out = rge(problem, noise, x, 3, q, s)
-            want = np.array([
-                sample_gradient_batch(problem, noise, x, q, s.child("rge-batch", j)).mean(axis=0)
-                for j in range(3)
-            ])
-            assert np.array_equal(seen.pop(), want), (noise, q)
+        for n, q in ((3, 1), (3, 2), (3, 3), (3, 7), (3, 3000), (288, 1), (288, 2), (288, 7), (288, 40)):
+            s = RngStream(31).child("bits", q).child("n", n)
+            out = rge(problem, noise, x, n, q, s)
+            want = _step_major_means(problem, noise, x, n, q, s)
+            assert np.array_equal(seen.pop(), want), (noise, n, q)
             assert np.array_equal(out, want[0])
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t", "rademacher", "sphere", "finite_sum"])
 def test_rge_chunks_match_one_shot_batches(monkeypatch, family):
-    # a batch drawn and summed in chunks, the running sum carried into
-    # each next chunk as its first row, equals the one-shot batch mean
-    # bit for bit, and every drawn sample is counted once
+    # a step-major draw made and summed in chunks of whole steps, the
+    # running sums carried into each next chunk as its first row, equals
+    # the one-shot batch means bit for bit, and every drawn sample is
+    # counted once; n = 288 puts n*d above PLAN_VALUES (one step a chunk)
     dim = 4
     if family == "finite_sum":
         problem = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=dim, mu=1.0, L=3.0,
@@ -173,19 +206,53 @@ def test_rge_chunks_match_one_shot_batches(monkeypatch, family):
 
     monkeypatch.setattr(selection, "sts", keep_all)
     x = problem.h.interior_point(dim) + 0.1
-    for q in (1, 9, 10, 19, 3000):
-        s = RngStream(32).child("chunks", q)
-        want = np.array([
-            sample_gradient_batch(problem, noise, x, q, s.child("rge-batch", j)).mean(axis=0)
-            for j in range(3)
-        ])
+    for n, q in ((1, 1), (1, 10), (3, 1), (3, 3), (3, 4), (3, 7), (3, 3000), (288, 1), (288, 5)):
+        s = RngStream(32).child("chunks", q).child("n", n)
+        want = _step_major_means(problem, noise, x, n, q, s)
         with monkeypatch.context() as m:
-            m.setattr(problems, "PLAN_VALUES", 37)  # 9 rows of dim 4 per chunk
+            m.setattr(problems, "PLAN_VALUES", 37)  # 9 steps of one dim-4 batch, 3 of three
             before = counted[0] if family == "finite_sum" else noise.draws
-            rge(problem, noise, x, 3, q, s)
+            rge(problem, noise, x, n, q, s)
             after = counted[0] if family == "finite_sum" else noise.draws
-        assert np.array_equal(seen.pop(), want), q
-        assert after - before == 3 * q
+        assert np.array_equal(seen.pop(), want), (n, q)
+        assert after - before == n * q
+
+
+def test_rge_draws_on_one_generator(monkeypatch, ball_problem):
+    # one stream setup per call, whatever n and the chunking
+    calls = []
+    generator = RngStream.generator
+
+    def counted(self, **kw):
+        calls.append(self.path)
+        return generator(self, **kw)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    monkeypatch.setattr(problems, "PLAN_VALUES", 37)
+    noise = NoiseModel(family="gaussian", sigma=1.0)
+    stream = RngStream(34).child("rge")
+    for n, q in ((1, 1), (5, 40), (288, 3)):
+        calls.clear()
+        rge(ball_problem, noise, ball_problem.h.interior_point(ball_problem.dim), n, q, stream)
+        assert calls == [stream.path], (n, q)
+
+
+def test_rge_names_first_non_finite_batch_mean(ball_problem):
+    # one NaN sample poisons its batch's mean: batch 4 of 6 here
+    # (step-major row i*n + j is sample i of batch j)
+    noise = NoiseModel(family="gaussian", sigma=1.0)
+    draw = noise.draw
+
+    class Poisoned:
+        def draw(self, gen, count, dim):
+            out = draw(gen, count, dim)
+            out[6 + 4, 2] = np.nan  # step 1, batch 4
+            out[6 * 2 + 5] = np.inf  # step 2, batch 5
+            return out
+
+    x = ball_problem.h.interior_point(ball_problem.dim)
+    with pytest.raises(NumericError, match="rge batch mean 4 is not finite"):
+        rge(ball_problem, Poisoned(), x, 6, 3, RngStream(35))
 
 
 @pytest.mark.parametrize("kind", ["additive", "finite_sum"])
