@@ -175,10 +175,7 @@ def _ridge_l1_box(spec, gen) -> CompositeProblem:
     center = np.zeros(d)
     pool = component_grad(center, np.arange(N))
     sigma_hat = float(np.sqrt(np.mean(np.sum((pool - pool.mean(axis=0)) ** 2, axis=1))))
-    oracle = FiniteSumOracle(
-        count=N, component_grad=component_grad, sigma=sigma_hat,
-        component_grad_rows=component_grad_rows,
-    )
+    oracle = FiniteSumOracle(N, component_grad, component_grad_rows)
     start = b * np.where(gen.random(d) < 0.5, -1.0, 1.0)  # box corner
     problem = CompositeProblem(
         dim=d, f=f, grad_f=grad_f, h=h, mu=spec.mu, L=spec.L,

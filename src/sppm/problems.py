@@ -9,10 +9,11 @@ plans the samples of sequential steps, one row per stream, in chunks
 of at most PLAN_VALUES values.  The inner solver reads a RowSampler
 with one row per solve; GradientSampler is the one-stream RowSampler
 that the SGD baseline reads one vector at a time, one plan per trial
-on ("sgd-trial", t).  The noise argument is either
-an additive NoiseModel or a FiniteSumOracle that samples component
-gradients.  exact_prox_point is the deterministic reference solve used
-for ground truth, never inside the stochastic path.
+on ("sgd-trial", t).  The noise is an additive NoiseModel or a
+FiniteSumOracle; both plan through draw(gen, count, dim), noise
+vectors or component indices, and the kind is tested once per
+draw_gradients call or sampler.  exact_prox_point is the deterministic
+reference solve for ground truth, never inside the stochastic path.
 """
 
 from __future__ import annotations
@@ -66,22 +67,24 @@ class FiniteSumOracle:
     """Sampling oracle for finite-sum problems: a uniformly drawn
     component gradient plays the role of the noisy gradient.
 
-    component_grad(x, idx) returns the (len(idx), dim) stack of chosen
-    component gradients at x.  sigma is the estimated variance bound at
-    the initial point (brute force over the pool), consumed by schedule
-    derivation exactly like a NoiseModel sigma.
+    draw(gen, count, dim) plans `count` component indices, the twin of
+    NoiseModel.draw.  component_grad(x, idx) returns the (len(idx), dim)
+    stack of the chosen component gradients at x, and
+    component_grad_rows(X, idx) evaluates component idx[j] at X[j].  The
+    variance bound that schedule derivation reads is the problem's sigma.
     """
 
     count: int
     component_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sigma: float
-    # Row-wise variant: component idx[j] evaluated at X[j]; None means
-    # the inner solver loops component_grad over the rows.
-    component_grad_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    component_grad_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError(f"component count must be >= 1, got {self.count}")
+
+    def draw(self, gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+        """(count,) array of uniform component indices; dim is unused."""
+        return gen.integers(0, self.count, size=count)
 
 
 def evaluate_phi(problem: CompositeProblem, x: np.ndarray) -> float:
@@ -121,11 +124,11 @@ def draw_gradients(
     """The next `count` gradient estimates at x drawn from gen, with no
     domain check.  Drawing m and then k rows from one generator gives
     the same rows as drawing m + k at once."""
+    plan = noise.draw(gen, count, problem.dim)
     if isinstance(noise, FiniteSumOracle):
-        return noise.component_grad(x, gen.integers(0, noise.count, size=count))
-    batch = noise.draw(gen, count, problem.dim)
-    batch += problem.grad_f(x)
-    return batch
+        return noise.component_grad(x, plan)
+    plan += problem.grad_f(x)
+    return plan
 
 
 # Plans stream through buffers of at most this many values (1 MiB of
@@ -139,32 +142,25 @@ def _rows_of(grad):
     return lambda X: np.array([grad(x) for x in X])
 
 
-def _component_rows_of(component_grad):
-    """Row-loop form of a finite-sum oracle: component idx[j] at X[j]."""
-    return lambda X, idx: np.array(
-        [component_grad(x, idx[j : j + 1])[0] for j, x in enumerate(X)]
-    )
-
-
 class RowSampler:
     """Gradient-sample plans for n solves advancing in lockstep.
 
     Row j's plan is drawn on streams[j] alone, so its values do not
-    depend on how many rows run beside it.  Noise rows and component
-    indices do not depend on the query point, so they are drawn ahead,
-    one generator setup per stream, in chunks into one reused step-major
-    buffer of shape (chunk, n, dim), or (chunk, n) for indices, holding
-    at most PLAN_VALUES values (one step at least).  Each stream keeps
-    its own generator between chunks, so the values are bit-identical
-    to drawing all `count` steps at once, and the last chunk draws
-    exactly the remainder.  sample_rows(i, X) returns the i-th sample of
-    every row, evaluated row-wise at X, and must be called with
-    i = 0, 1, 2, ...; chunks are drawn on the calling thread.  A problem
-    without grad_rows, or an oracle without component_grad_rows, is
-    evaluated by a loop over the rows.
+    depend on how many rows run beside it.  Plans do not depend on the
+    query point, so they are drawn ahead through noise.draw, one
+    generator setup per stream, in chunks into one reused step-major
+    buffer of shape (chunk, n, dim) for noise vectors, or (chunk, n) for
+    component indices, holding at most PLAN_VALUES values (one step at
+    least).  Each stream keeps its own generator between chunks, so the
+    values are bit-identical to drawing all `count` steps at once, and
+    the last chunk draws exactly the remainder.  sample_rows(i, X)
+    returns the i-th sample of every row, evaluated row-wise at X, and
+    must be called with i = 0, 1, 2, ...; chunks are drawn on the calling
+    thread.  An additive problem without grad_rows is evaluated by a
+    loop over the rows.
     """
 
-    __slots__ = ("_grad_rows", "_component_rows", "_noise", "_indices", "_draw",
+    __slots__ = ("_grad_rows", "_component_rows", "_noise", "_draw", "_dim",
                  "_count", "_streams", "_gens", "_start", "_stop")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, streams):
@@ -172,16 +168,13 @@ class RowSampler:
             raise ValidationError(f"sample count must be >= 1, got {count}")
         n, dim = len(streams), problem.dim
         self._grad_rows = problem.grad_rows or _rows_of(problem.grad_f)
-        self._component_rows = self._noise = self._indices = None
-        if isinstance(noise, FiniteSumOracle):
-            self._component_rows = noise.component_grad_rows or _component_rows_of(noise.component_grad)
-            chunk = max(1, min(count, PLAN_VALUES // n))
-            self._indices = np.empty((chunk, n), dtype=np.int64)
-            self._draw = lambda gen, m: gen.integers(0, noise.count, size=m)
-        else:
-            chunk = max(1, min(count, PLAN_VALUES // (n * dim)))
-            self._noise = np.empty((chunk, n, dim))
-            self._draw = lambda gen, m: noise.draw(gen, m, dim)
+        # _component_rows is None exactly for additive noise.
+        finite = isinstance(noise, FiniteSumOracle)
+        self._component_rows = noise.component_grad_rows if finite else None
+        row = () if finite else (dim,)
+        chunk = max(1, min(count, PLAN_VALUES // (n * math.prod(row))))
+        self._noise = np.empty((chunk, n) + row, dtype=np.int64 if finite else float)
+        self._draw, self._dim = noise.draw, dim
         self._count = count
         self._streams = streams
         # A one-chunk plan draws on the cheap thread-shared generator;
@@ -197,18 +190,17 @@ class RowSampler:
                 f"plan of {self._count} steps is read in order: step {i} requested "
                 f"while steps {self._start}..{self._stop - 1} are drawn"
             )
-        buffer = self._noise if self._indices is None else self._indices
-        m = min(len(buffer), self._count - i)
-        out = buffer[:m]
+        m = min(len(self._noise), self._count - i)
+        out = self._noise[:m]
         for j, s in enumerate(self._streams):
-            out[:, j] = self._draw(s.generator() if self._gens is None else self._gens[j], m)
+            out[:, j] = self._draw(s.generator() if self._gens is None else self._gens[j], m, self._dim)
         self._start, self._stop = i, i + m
 
     def sample_rows(self, i: int, X: np.ndarray) -> np.ndarray:
         if not self._start <= i < self._stop:
             self._advance(i)
-        if self._indices is not None:
-            return self._component_rows(X, self._indices[i - self._start])
+        if self._component_rows is not None:
+            return self._component_rows(X, self._noise[i - self._start])
         return self._grad_rows(X) + self._noise[i - self._start]
 
 
@@ -224,14 +216,14 @@ class GradientSampler(RowSampler):
     def __init__(self, problem: CompositeProblem, noise, count: int, stream: RngStream):
         super().__init__(problem, noise, count, [stream])
         self._grad = problem.grad_f
-        self._component = None if self._indices is None else noise.component_grad
+        self._component = None if self._component_rows is None else noise.component_grad
 
     def sample(self, i: int, x: np.ndarray) -> np.ndarray:
         """i-th planned gradient sample, evaluated at x."""
         if not self._start <= i < self._stop:
             self._advance(i)
-        if self._indices is not None:
-            return self._component(x, self._indices[i - self._start])[0]
+        if self._component_rows is not None:
+            return self._component(x, self._noise[i - self._start])[0]
         return self._grad(x) + self._noise[i - self._start, 0]
 
 

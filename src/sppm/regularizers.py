@@ -47,7 +47,7 @@ class Zero:
     prox_rows = prox
 
     def contains(self, x):
-        return np.ones(np.shape(x)[:-1], dtype=bool)[()]
+        return np.isfinite(x).all(axis=-1)
 
     def diameter(self):
         return math.inf
@@ -168,7 +168,7 @@ class L1:
     prox_rows = prox
 
     def contains(self, x):
-        return np.ones(np.shape(x)[:-1], dtype=bool)[()]
+        return np.isfinite(x).all(axis=-1)
 
     def diameter(self):
         return math.inf

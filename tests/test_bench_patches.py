@@ -59,6 +59,11 @@ def _owners(modules):
     return out
 
 
+def _calls(tracer):
+    """Traced calls so far, per span name."""
+    return {name: calls for name, (calls, _, _) in tracer.self_times(tracer.spans()).items()}
+
+
 def test_benchmark_patches_install_and_restore():
     spans = _load("spans")
     modules = SimpleNamespace(
@@ -77,10 +82,17 @@ def test_benchmark_patches_install_and_restore():
                                     ("ridge-l1-box", "finite_sum", 0.0)):
             cfg = parse_config(CONFIG.format(kind=kind, family=family, sigma=sigma))
             tracer.plan_bytes_max = 0
+            calls_before = _calls(tracer)
             report = harness.run_trials(cfg)
             assert len(report.records) == 2
             # the plan buffers are read from the sampler slots of both noise kinds
             assert 0 < tracer.plan_bytes_max <= problems.PLAN_VALUES * 8, family
+            # additive rows go through the wrapped _grad_rows slot once per
+            # sample_rows call; finite-sum rows never do
+            ran = {k: v - calls_before.get(k, 0) for k, v in _calls(tracer).items()}
+            rows = ran["problems.sample_rows"] if family == "gaussian" else 0
+            assert ran["problems.sample_rows"] > 0
+            assert ran.get("problems.grad_rows", 0) == rows, family
     # 2 trials x 2 outer steps x 3 candidates x 7 inner steps, per config
     counts = tracer.spans()["counts"]
     assert counts["pss.row_steps"] == 2 * (2 * 2 * 3 * 7)

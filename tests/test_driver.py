@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +16,15 @@ from sppm.driver import (
     sppm_run,
     total_samples,
 )
-from sppm.errors import NumericError, ValidationError
+from sppm.errors import DomainError, NumericError, ValidationError
 from sppm.harness import build_noise, build_problem, build_schedule, initial_iterate
 from sppm.noise import NoiseModel
-from sppm.problems import evaluate_phi
+from sppm.problems import FiniteSumOracle, evaluate_phi
 from sppm.props import CountingNoise
-from sppm.pss import alpha_floor
-from sppm.regularizers import L2Ball, prox_map
+from sppm.pss import PssConfig, alpha_floor, pss_run_batch
+from sppm.regularizers import L1, L2Ball, Zero, prox_map
 from sppm.rng import RngStream
+from sppm.selection import rge
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -155,6 +156,28 @@ def small_schedule(problem, K=3, I=15, n=5, q=4):
         overrides={"outer_iters": K, "inner_iters": I,
                    "candidates_per_iter": n, "rge_batch": q},
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("h", [Zero(), L1(weight=0.1)], ids=lambda h: type(h).__name__)
+def test_non_finite_point_lies_outside_unbounded_domains(h, bad):
+    # dom h is all of R^d for Zero and L1, but no point with a NaN or
+    # infinite coordinate: every sampling entry point rejects it up front
+    problem = problems.CompositeProblem(
+        dim=3, f=lambda x: float(x @ x), grad_f=lambda x: 2.0 * x,
+        h=h, mu=2.0, L=4.0, diameter=1.0,
+    )
+    noise = NoiseModel(family="gaussian", sigma=1.0)
+    x = np.array([0.1, bad, 0.0])
+    cfg = PssConfig(x0=x, alpha=alpha_floor(4, 3.0, problem.L), lam=3.0, inner_iters=4)
+    with pytest.raises(DomainError, match="sampling point"):
+        rge(problem, noise, x, 3, 2, RngStream(71))
+    with pytest.raises(DomainError, match="sampling point"):
+        problems.sample_gradient_batch(problem, noise, x, 2, RngStream(71))
+    with pytest.raises(DomainError, match="prox center"):
+        pss_run_batch(problem, noise, cfg, [RngStream(71).child("pss", j) for j in range(2)])
+    with pytest.raises(DomainError, match="z0"):
+        sppm_run(problem, noise, small_schedule(problem), x, RngStream(71))
 
 
 def test_sppm_run_record_shape(ball_problem):
@@ -374,18 +397,36 @@ def test_row_loop_default_for_custom_problem(counting_noise):
     _assert_iterates_close(got, sppm_run(rows, counting_noise.inner, s, z0, RngStream(67)))
 
 
-def test_row_loop_default_for_finite_sum_oracle(finite_sum_problem):
-    oracle = finite_sum_problem.meta["oracle"]
-    draws = 0
+@dataclass(frozen=True)
+class CountingOracle(FiniteSumOracle):
+    """Finite-sum oracle that tallies the component indices drawn through it."""
 
-    def component_grad(x, idx):
-        nonlocal draws
-        draws += len(idx)
-        return oracle.component_grad(x, idx)
+    tally: list = field(default_factory=list)
 
-    bare = replace(oracle, component_grad=component_grad, component_grad_rows=None)
-    s = small_schedule(finite_sum_problem)
-    z0 = finite_sum_problem.h.interior_point(finite_sum_problem.dim)
-    got = sppm_run(finite_sum_problem, bare, s, z0, RngStream(68))
-    assert draws == got.total_samples == total_samples(s)
-    _assert_iterates_close(got, sppm_run(finite_sum_problem, oracle, s, z0, RngStream(68)))
+    @property
+    def draws(self):
+        return sum(self.tally)
+
+    def draw(self, gen, count, dim):
+        self.tally.append(count)
+        return super().draw(gen, count, dim)
+
+
+@pytest.mark.parametrize("kind", ["additive", "finite_sum"])
+def test_every_sample_is_planned_through_draw(ball_problem, finite_sum_problem, kind):
+    # Both noise kinds plan every sample of a run, inner solves and
+    # booster alike, through noise.draw; counting there changes no iterate.
+    if kind == "additive":
+        problem, plain = ball_problem, NoiseModel(family="student_t", sigma=1.0, nu=3.0)
+        counted = CountingNoise(plain)
+    else:
+        problem, plain = finite_sum_problem, finite_sum_problem.meta["oracle"]
+        counted = CountingOracle(plain.count, plain.component_grad, plain.component_grad_rows)
+    s = small_schedule(problem)
+    z0 = problem.h.interior_point(problem.dim)
+    got = sppm_run(problem, counted, s, z0, RngStream(68))
+    assert counted.draws == got.total_samples == total_samples(s)
+    want = sppm_run(problem, plain, s, z0, RngStream(68))
+    for (z1, w1), (z2, w2) in zip(want.iterates, got.iterates, strict=True):
+        assert np.array_equal(z1, z2)
+        assert np.array_equal(w1, w2)

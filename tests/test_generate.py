@@ -75,8 +75,10 @@ def test_finite_sum_oracle_wiring():
     p = generate_problem(spec("ridge-l1-box"), 12)
     oracle = p.meta["oracle"]
     assert oracle.count == 30
-    assert oracle.sigma > 0.0
-    assert p.sigma == oracle.sigma
+    # sigma is the pool's spread at the domain center
+    pool = oracle.component_grad(np.zeros(p.dim), np.arange(30))
+    assert p.sigma > 0.0
+    assert p.sigma == float(np.sqrt(np.mean(np.sum((pool - pool.mean(axis=0)) ** 2, axis=1))))
     # mean component gradient equals the full gradient
     x = p.h.interior_point(p.dim)
     full = oracle.component_grad(x, np.arange(30)).mean(axis=0)

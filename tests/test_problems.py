@@ -78,49 +78,36 @@ def test_sample_batch_unbiased(ball_problem):
     assert err < 5.0 / math.sqrt(40_000)
 
 
-def test_gradient_sampler_matches_batch_additive(ball_problem):
-    noise = NoiseModel(family="student_t", sigma=1.0, nu=3.0)
-    x = ball_problem.h.interior_point(ball_problem.dim) + 0.05
-    s = RngStream(9).child("plan")
-    sampler = GradientSampler(ball_problem, noise, 11, s)
-    batch = sample_gradient_batch(ball_problem, noise, x, 11, s)
-    for i in range(11):
-        assert np.array_equal(sampler.sample(i, x), batch[i])
+def _noise_of(kind, ball_problem, finite_sum_problem):
+    """(problem, noise) of one noise kind: additive student-t noise on the
+    ball problem, or the finite-sum problem's component oracle."""
+    if kind == "additive":
+        return ball_problem, NoiseModel(family="student_t", sigma=1.0, nu=3.0)
+    return finite_sum_problem, finite_sum_problem.meta["oracle"]
 
 
-def test_gradient_sampler_matches_batch_finite_sum(finite_sum_problem):
-    oracle = finite_sum_problem.meta["oracle"]
-    x = finite_sum_problem.h.interior_point(finite_sum_problem.dim)
-    s = RngStream(9).child("fs")
-    sampler = GradientSampler(finite_sum_problem, oracle, 13, s)
-    batch = sample_gradient_batch(finite_sum_problem, oracle, x, 13, s)
+@pytest.mark.parametrize("kind", ["additive", "finite_sum"])
+def test_gradient_sampler_matches_batch(ball_problem, finite_sum_problem, kind):
+    problem, noise = _noise_of(kind, ball_problem, finite_sum_problem)
+    x = problem.h.interior_point(problem.dim) + 0.05
+    s = RngStream(9).child(f"plan-{kind}")
+    sampler = GradientSampler(problem, noise, 13, s)
+    batch = sample_gradient_batch(problem, noise, x, 13, s)
     for i in range(13):
         assert np.array_equal(sampler.sample(i, x), batch[i])
 
 
-def test_row_sampler_matches_per_candidate_plans(ball_problem):
-    noise = NoiseModel(family="gaussian", sigma=1.0)
-    streams = [RngStream(3).child("cand", j) for j in range(5)]
-    rows = RowSampler(ball_problem, noise, 7, streams)
-    singles = [GradientSampler(ball_problem, noise, 7, s) for s in streams]
-    gen = RngStream(3).child("x").generator(shared=False)
+@pytest.mark.parametrize("kind", ["additive", "finite_sum"])
+def test_row_sampler_matches_per_candidate(ball_problem, finite_sum_problem, kind):
+    problem, noise = _noise_of(kind, ball_problem, finite_sum_problem)
+    streams = [RngStream(3).child(f"cand-{kind}", j) for j in range(5)]
+    rows = RowSampler(problem, noise, 7, streams)
+    singles = [GradientSampler(problem, noise, 7, s) for s in streams]
+    gen = RngStream(3).child(f"x-{kind}").generator(shared=False)
     for i in range(7):
-        X = 0.05 * gen.standard_normal((5, ball_problem.dim))
+        X = 0.05 * gen.standard_normal((5, problem.dim))
         got = rows.sample_rows(i, X)
         for j in range(5):
-            assert np.allclose(got[j], singles[j].sample(i, X[j]), atol=1e-15)
-
-
-def test_row_sampler_matches_per_candidate_finite_sum(finite_sum_problem):
-    oracle = finite_sum_problem.meta["oracle"]
-    streams = [RngStream(4).child("cand", j) for j in range(4)]
-    rows = RowSampler(finite_sum_problem, oracle, 6, streams)
-    singles = [GradientSampler(finite_sum_problem, oracle, 6, s) for s in streams]
-    gen = RngStream(4).child("x").generator(shared=False)
-    for i in range(6):
-        X = 0.2 * gen.standard_normal((4, finite_sum_problem.dim))
-        got = rows.sample_rows(i, X)
-        for j in range(4):
             assert np.allclose(got[j], singles[j].sample(i, X[j]), atol=1e-15)
 
 
@@ -161,8 +148,7 @@ def test_chunked_plans_match_one_shot_plans(monkeypatch, ball_problem, finite_su
             else:
                 assert np.array_equal(one, problem.grad_f(X[j]) + want[i, j])
         for sampler in samplers:
-            held = [getattr(sampler, slot, None) for slot in ("_noise", "_noise_rows", "_indices")]
-            assert sum(a.size for a in held if a is not None) <= 37
+            assert sampler._noise.size <= 37
     if not finite:
         # the row sampler and the single samplers drew n * count each
         assert noise.draws == 2 * n * count

@@ -18,6 +18,13 @@ ALL = [
     L1Box(weight=0.3, box=Box.symmetric(0.8, 4)),
 ]
 
+NON_FINITE = [
+    [np.nan, 0.0, 0.0, 0.0],
+    [0.0, -np.inf, 0.0, 0.0],
+    [0.0, 0.0, 0.0, np.inf],
+    [np.nan, np.inf, -np.inf, np.nan],
+]
+
 
 def test_ball_projection_closed_form():
     h = L2Ball(center=np.zeros(2), radius=1.0)
@@ -88,12 +95,15 @@ def test_value_and_contains_rows_match_one_row_calls(h):
         0.3 * gen.standard_normal((9, 4)),
         h.prox_rows(3.0 * gen.standard_normal((9, 4)), 0.5),
         3.0 * gen.standard_normal((9, 4)),
-        [[np.nan, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0], [-0.0, 0.0, -0.0, 0.0]],
+        [[-0.0, 0.0, -0.0, 0.0]],
+        NON_FINITE,
     ])
     values, inside = h.value(X), h.contains(X)
     assert values.shape == inside.shape == (len(X),) and inside.dtype == bool
     assert values.tobytes() == np.array([h.value(x) for x in X]).tobytes()
     assert inside.tolist() == [bool(h.contains(x)) for x in X]
+    # no point with a NaN or infinite coordinate lies in any dom h
+    assert not inside[-len(NON_FINITE):].any()
 
 
 @pytest.mark.parametrize("h", ALL, ids=lambda h: type(h).__name__)
