@@ -194,13 +194,6 @@ def test_sppm_run_record_shape(ball_problem):
         assert ball_problem.h.contains(w)
 
 
-def test_sppm_run_sample_accounting(ball_problem, counting_noise):
-    s = small_schedule(ball_problem)
-    z0 = ball_problem.h.interior_point(ball_problem.dim)
-    rec = sppm_run(ball_problem, counting_noise, s, z0, RngStream(61))
-    assert counting_noise.draws == rec.total_samples
-
-
 def test_sppm_run_counts_noiseless_draws(ball_problem):
     noise = CountingNoise(NoiseModel(family="gaussian", sigma=0.0))
     z0 = ball_problem.h.interior_point(ball_problem.dim)
