@@ -12,13 +12,14 @@ swaps them for the fixed measured-not-proven factors PRACTICAL_FACTORS
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .booster import PbConfig, pb, q_floor, tau_from_eps
+from .config import AlgoSpec
 from .errors import DomainError, NumericError, ValidationError
 from .problems import CompositeProblem, GradientSampler, evaluate_phi
 from .pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run_batch
@@ -75,41 +76,11 @@ def total_samples(schedule: Schedule) -> int:
     return n * K * (schedule.inner_iters + 1) + n * K * schedule.rge_batch
 
 
-def _smallest_feasible_inner(predicate, cap: int) -> Optional[int]:
-    """Doubling then binary search for the smallest I in [1, cap] with
-    predicate(I) true; None if the doubling pass never succeeds."""
-    probe = 1
-    prev = 0
-    while probe <= cap:
-        if predicate(probe):
-            lo, hi = prev + 1, probe
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if predicate(mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
-        prev = probe
-        probe *= 2
-    if prev < cap and predicate(cap):
-        return cap
-    return None
-
-
-def derive_schedule(
-    mu: float,
-    L: float,
-    sigma: float,
-    D: float,
-    target_eps: float,
-    target_p: float,
-    overrides: Optional[dict] = None,
-    mode: str = "verbatim",
-) -> Schedule:
-    """Fill a Schedule from targets; overrides pin individual fields and
-    the dependent quantities are recomputed around them.  lam is 3/mu and
-    alpha sits at its floor for the derived I.
+def derive_schedule(mu: float, L: float, sigma: float, D: float, algo: AlgoSpec) -> Schedule:
+    """Fill a Schedule from algo's targets (eps, p) and mode; algo's
+    non-None pins (inner_iters, candidates, rge_batch, outer_iters) are
+    taken as given and the dependent quantities are recomputed around
+    them.  lam is 3/mu and alpha sits at its floor for the derived I.
 
     Targets that overflow a derived quantity, round alpha's floor to 1
     or underflow eps_k to 0 raise ValidationError.
@@ -118,6 +89,7 @@ def derive_schedule(
     alpha sits at its own floor) is reported through feasible=False and
     diagnostics, never an exception.
     """
+    target_eps, target_p, mode = algo.eps, algo.p, algo.mode
     for name, value in (("mu", mu), ("L", L), ("sigma", sigma), ("D", D), ("target_eps", target_eps)):
         if not math.isfinite(value):
             bounded = " (dom h must be bounded)" if name == "D" else ""
@@ -130,10 +102,6 @@ def derive_schedule(
         raise ValidationError("need target_eps > 0 and target_p in (0,1)")
     if mode not in ("verbatim", "practical"):
         raise ValidationError(f"unknown mode {mode!r}")
-    ov = dict(overrides or {})
-    unknown = set(ov) - {"inner_iters", "candidates_per_iter", "rge_batch", "outer_iters"}
-    if unknown:
-        raise ValidationError(f"unknown override fields: {sorted(unknown)}")
 
     def finite(name, value):
         """value, or ValidationError when the targets overflow it."""
@@ -152,8 +120,10 @@ def derive_schedule(
 
     lam = 3.0 / mu
     eps_dist = eps_stat = target_eps / 2.0
-    k_raw = math.log1p(D * D / (7.0 * lam * eps_dist)) / math.log(8.0 / 7.0)
-    K = int(ov.get("outer_iters", max(1, math.ceil(finite("outer_iters", k_raw)))))
+    K = algo.outer_iters
+    if K is None:
+        k_raw = math.log1p(D * D / (7.0 * lam * eps_dist)) / math.log(8.0 / 7.0)
+        K = max(1, math.ceil(finite("outer_iters", k_raw)))
     tau_target = eps_stat / boost_c
     per_call_target = tau_target / markov_c
 
@@ -161,14 +131,11 @@ def derive_schedule(
         a = alpha_floor(I, lam, L)
         return epsilon_k_bound(a, I, lam, sigma, D, L) <= per_call_target
 
-    diagnostics = {}
-    if "inner_iters" in ov:
-        I = int(ov["inner_iters"])
-    else:
-        found = _smallest_feasible_inner(meets_target, I_CAP)
-        if found is not None:
-            I = found
-        else:
+    I = algo.inner_iters
+    if I is None:
+        # eps_k falls with I at alpha's floor, so the predicate is monotone
+        I = 1 + bisect.bisect_left(range(1, I_CAP + 1), True, key=meets_target)
+        if I > I_CAP:
             # Best effort: at the alpha floor the iterate chain keeps a
             # stationary variance of order (1 + lam*L/2) * lam*sigma^2/I
             # (the prox step amplifies averaged-gradient noise by lam
@@ -187,14 +154,15 @@ def derive_schedule(
         raise ValidationError(f"eps_k underflows to 0 at sigma={sigma}, L={L}, D={D}")
     tau = tau_from_eps(eps_k, markov_c)
     q_min = q_floor(lam, mu, sigma, L, tau)
-    q = int(ov.get("rge_batch", q_min))
+    q = q_min if algo.rge_batch is None else algo.rge_batch
     if q < q_min:
         raise ValidationError(f"rge_batch={q} below floor {q_min}")
-    n_raw = hoeff_c * math.log(2.0 * K / target_p)
-    n = max(1, int(ov.get("candidates_per_iter", math.ceil(finite("candidates_per_iter", n_raw)))))
+    n = algo.candidates
+    if n is None:
+        n = max(1, math.ceil(finite("candidates_per_iter", hoeff_c * math.log(2.0 * K / target_p))))
 
     feasible = eps_k <= per_call_target
-    diagnostics["per_call_bound"] = (per_call_target, eps_k)
+    diagnostics = {"per_call_bound": (per_call_target, eps_k)}
     if not feasible:
         bias_floor = math.exp(-2.0) * (sigma * D + 0.5 * L * D * D)
         if bias_floor > per_call_target:

@@ -56,10 +56,11 @@ def _check(spec):
         raise ValidationError(f"need 0 < mu < L, got mu={spec.mu}, L={spec.L}")
 
 
-def generate_problem(spec, seed: int) -> CompositeProblem:
-    """Build the instance described by spec, deterministically from seed."""
+def generate_problem(spec) -> CompositeProblem:
+    """Build the instance described by spec, deterministically from
+    spec.instance_seed."""
     _check(spec)
-    gen = RngStream(int(seed)).child("instance").generator(shared=False)
+    gen = RngStream(int(spec.instance_seed)).child("instance").generator(shared=False)
     if spec.kind == "quadratic-ball":
         return _quadratic_ball(spec, gen)
     if spec.kind == "ridge-l1-box":

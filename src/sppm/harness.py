@@ -78,7 +78,7 @@ def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
     """Instantiate the configured problem; for additive noise the
     declared sigma is stamped onto the instance, for finite_sum the
     pool estimate made at generation time stands."""
-    problem = generate_problem(cfg.problem, cfg.problem.instance_seed)
+    problem = generate_problem(cfg.problem)
     if cfg.noise.family == "finite_sum":
         return problem
     return replace(problem, sigma=cfg.noise.sigma)
@@ -94,26 +94,7 @@ def build_noise(cfg: ExperimentConfig, problem: CompositeProblem):
 
 
 def build_schedule(cfg: ExperimentConfig, problem: CompositeProblem) -> Schedule:
-    algo = cfg.algo
-    overrides = {}
-    for field_name, override in (
-        ("inner_iters", algo.inner_iters),
-        ("candidates_per_iter", algo.candidates),
-        ("rge_batch", algo.rge_batch),
-        ("outer_iters", algo.outer_iters),
-    ):
-        if override is not None:
-            overrides[field_name] = override
-    return derive_schedule(
-        mu=problem.mu,
-        L=problem.L,
-        sigma=problem.sigma,
-        D=problem.diameter,
-        target_eps=algo.eps,
-        target_p=algo.p,
-        overrides=overrides or None,
-        mode=algo.mode,
-    )
+    return derive_schedule(problem.mu, problem.L, problem.sigma, problem.diameter, cfg.algo)
 
 
 def require_runnable(schedule: Schedule) -> None:

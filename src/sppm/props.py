@@ -58,7 +58,7 @@ class CountingNoise:
 
 @lru_cache(maxsize=None)
 def reference_problem():
-    return generate_problem(REF_SPEC, REF_SPEC.instance_seed)
+    return generate_problem(REF_SPEC)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +135,7 @@ def check_curvature(pairs: int = 1000):
     ]
     gen = RngStream(102).child("curv").generator(shared=False)
     for spec in specs:
-        problem = generate_problem(spec, spec.instance_seed)
+        problem = generate_problem(spec)
         for _ in range(pairs):
             x = problem.h.prox(4.0 * gen.standard_normal(spec.dim), 1.0)
             y = problem.h.prox(4.0 * gen.standard_normal(spec.dim), 1.0)

@@ -39,7 +39,7 @@ class Zero:
     """h = 0 on all of R^d."""
 
     def value(self, x):
-        return np.zeros(np.shape(x)[:-1])[()]
+        return np.where(self.contains(x), 0.0, math.inf)[()]
 
     def prox(self, y, t):
         return np.array(y, dtype=float)
@@ -160,7 +160,7 @@ class L1:
             raise ValidationError(f"l1 weight must be nonnegative, got {self.weight}")
 
     def value(self, x):
-        return self.weight * np.sum(np.abs(x), axis=-1)
+        return np.where(self.contains(x), self.weight * np.sum(np.abs(x), axis=-1), math.inf)[()]
 
     def prox(self, y, t):
         return _soft_threshold(y, t * self.weight)

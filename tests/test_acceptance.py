@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sppm.config import ProblemSpec, parse_config
+from sppm.config import AlgoSpec, ProblemSpec, parse_config
 from sppm.driver import derive_schedule, sppm_run, total_samples
 from sppm.generate import generate_problem
 from sppm.harness import emit_report, run_trials
@@ -89,7 +89,7 @@ def test_criterion_06_heavy_tail_benchmark():
     # instance first and interpolate the figure into the config
     spec = ProblemSpec(kind="quadratic-ball", dim=10, mu=1.0, L=4.0,
                        radius=0.5, instance_seed=20260819)
-    problem = generate_problem(spec, spec.instance_seed)
+    problem = generate_problem(spec)
     gap0 = evaluate_phi(problem, problem.start) - problem.phi_star
     eps = 0.05 * gap0
     cfg = parse_config(f"""
@@ -144,13 +144,12 @@ def test_criterion_07_confidence_scaling_accounting():
         1e-5: (958, 37362),
         1e-6: (1124, 43836),
     }
-    overrides = {"outer_iters": 3, "inner_iters": 10, "rge_batch": 2}
+    pins = {"outer_iters": 3, "inner_iters": 10, "rge_batch": 2}
     start = time.perf_counter()
     schedules = {}
     for p, (n_exp, total_exp) in expected.items():
         sched = derive_schedule(mu=1.0, L=4.0, sigma=1.0, D=1.0,
-                                target_eps=0.5, target_p=p,
-                                overrides=overrides, mode="verbatim")
+                                algo=AlgoSpec(eps=0.5, p=p, mode="verbatim", **pins))
         assert sched.candidates_per_iter == n_exp, (
             f"p={p}: n {sched.candidates_per_iter} != {n_exp}"
         )
@@ -165,7 +164,7 @@ def test_criterion_07_confidence_scaling_accounting():
     # exactly the advertised number of samples
     spec = ProblemSpec(kind="quadratic-ball", dim=5, mu=1.0, L=4.0,
                        radius=0.5, instance_seed=7)
-    problem = generate_problem(spec, spec.instance_seed)
+    problem = generate_problem(spec)
     z0 = problem.h.interior_point(problem.dim)
     for p, (n_exp, total_exp) in expected.items():
         noise = CountingNoise(NoiseModel(family="gaussian", sigma=1.0))

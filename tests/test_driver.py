@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from sppm import problems
-from sppm.config import load_config
+from sppm.config import AlgoSpec, load_config
 from sppm.driver import (
+    I_CAP,
     RunRecord,
     Schedule,
     derive_schedule,
@@ -21,7 +22,7 @@ from sppm.harness import build_noise, build_problem, build_schedule, initial_ite
 from sppm.noise import NoiseModel
 from sppm.problems import FiniteSumOracle, evaluate_phi
 from sppm.props import CountingNoise
-from sppm.pss import PssConfig, alpha_floor, pss_run_batch
+from sppm.pss import PssConfig, alpha_floor, epsilon_k_bound, pss_run_batch
 from sppm.regularizers import L1, L2Ball, Zero, prox_map
 from sppm.rng import RngStream
 from sppm.selection import rge
@@ -32,7 +33,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def test_outer_count_frozen():
     # D = 1, lam = 3, eps = 0.1 (so the distance share is 0.05):
     # ceil(ln(1 + 1/1.05) / ln(8/7)) = ceil(5.0104) = 6
-    s = derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1)
+    s = derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=0.1, p=0.1))
     assert s.outer_iters == 6
 
 
@@ -40,26 +41,24 @@ def test_candidate_count_and_total_frozen():
     # verbatim: n = ceil(72 ln(2K/p)); with K = 5, p = 0.1 that is 332,
     # and nK(I+1) + nKq = 332*5*101 + 332*5*12 = 187580
     s = derive_schedule(
-        1.0, 4.0, 1.0, 1.0, 0.1, 0.1,
-        overrides={"outer_iters": 5, "inner_iters": 100, "rge_batch": 12},
+        1.0, 4.0, 1.0, 1.0,
+        AlgoSpec(eps=0.1, p=0.1, outer_iters=5, inner_iters=100, rge_batch=12),
     )
     assert s.candidates_per_iter == 332
     assert total_samples(s) == 187_580
 
 
 def test_practical_candidate_factor():
-    s = derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.05, mode="practical",
-                        overrides={"outer_iters": 5})
+    s = derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=0.1, p=0.05, mode="practical", outer_iters=5))
     assert s.candidates_per_iter == math.ceil(8 * math.log(2 * 5 / 0.05))
 
 
 def test_verbatim_feasible_at_loose_target():
-    s = derive_schedule(1.0, 4.0, 1.0, 1.0, 5000.0, 0.1)
+    s = derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=5000.0, p=0.1))
     assert s.feasible
     req, act = s.diagnostics["per_call_bound"]
     assert act <= req
     # smallest such I: one fewer inner iteration must violate the target
-    from sppm.pss import epsilon_k_bound
     I = s.inner_iters
     if I > 1:
         a = alpha_floor(I - 1, s.lam, 4.0)
@@ -67,7 +66,7 @@ def test_verbatim_feasible_at_loose_target():
 
 
 def test_verbatim_infeasible_documents_bias_floor():
-    s = derive_schedule(1.0, 4.0, 1.0, 1.0, 0.01, 0.05)
+    s = derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=0.01, p=0.05))
     assert not s.feasible
     assert "per_call_bound" in s.diagnostics
     assert "bias floor exceeded" in s.diagnostics
@@ -76,18 +75,10 @@ def test_verbatim_infeasible_documents_bias_floor():
     assert floor == pytest.approx(math.exp(-2.0) * 3.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("overrides", [{"lam": 3.0}, {"inner_iters": 50, "alpha": 0.99}])
-def test_lam_and_alpha_overrides_rejected(overrides):
-    with pytest.raises(ValidationError, match="unknown override fields"):
-        derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1, overrides=overrides)
-
-
 def test_override_invariants_enforced():
     # big sigma against small L pushes the batch floor above 1
     with pytest.raises(ValidationError):
-        derive_schedule(1.0, 1.2, 3.0, 1.0, 0.1, 0.1, overrides={"rge_batch": 1})
-    with pytest.raises(ValidationError):
-        derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1, overrides={"bogus": 3})
+        derive_schedule(1.0, 1.2, 3.0, 1.0, AlgoSpec(eps=0.1, p=0.1, rge_batch=1))
 
 
 @pytest.mark.parametrize("name, value, match", [
@@ -98,63 +89,103 @@ def test_override_invariants_enforced():
     ("target_eps", math.nan, "target_eps must be finite"),
 ])
 def test_non_finite_arguments_rejected(name, value, match):
-    args = {"mu": 1.0, "L": 4.0, "sigma": 1.0, "D": 1.0, "target_eps": 0.1, "target_p": 0.1}
+    args = {"mu": 1.0, "L": 4.0, "sigma": 1.0, "D": 1.0, "target_eps": 0.1, name: value}
+    eps = args.pop("target_eps")
     with pytest.raises(ValidationError, match=match):
-        derive_schedule(**{**args, name: value})
+        derive_schedule(**args, algo=AlgoSpec(eps=eps, p=0.1))
 
 
 @pytest.mark.parametrize("mode", ["verbatim", "practical"])
-@pytest.mark.parametrize("overrides", [
-    None, {"inner_iters": 40}, {"rge_batch": 10**6}, {"inner_iters": 7, "rge_batch": 10**6},
+@pytest.mark.parametrize("pins", [
+    {}, {"inner_iters": 40}, {"rge_batch": 10**6}, {"inner_iters": 7, "rge_batch": 10**6},
 ])
 @pytest.mark.parametrize("mu, L, sigma, eps", [
     (1.0, 4.0, 1.0, 0.1), (2.0, 8.0, 1.0, 0.1), (0.3, 5.0, 0.0, 0.05), (1.0, 4.0, 1.0, 5000.0),
 ])
-def test_derived_schedules_hold_lam_mu_and_alpha_invariants(mode, overrides, mu, L, sigma, eps):
-    s = derive_schedule(mu, L, sigma, 1.0, eps, 0.1, overrides=overrides, mode=mode)
+def test_derived_schedules_hold_lam_mu_and_alpha_invariants(mode, pins, mu, L, sigma, eps):
+    s = derive_schedule(mu, L, sigma, 1.0, AlgoSpec(eps=eps, p=0.1, mode=mode, **pins))
     assert abs(s.lam * mu - 3.0) <= 1e-12
     assert s.alpha == alpha_floor(s.inner_iters, s.lam, L)
 
 
-@pytest.mark.parametrize("changes, overrides, match", [
-    ({"sigma": 1e155}, None, "inner_iters overflows"),
-    ({"mu": 1e-300}, None, "inner_iters overflows"),
+@pytest.mark.parametrize("changes, pins, match", [
+    ({"sigma": 1e155}, {}, "inner_iters overflows"),
+    ({"mu": 1e-300}, {}, "inner_iters overflows"),
     ({"sigma": 1e155}, {"inner_iters": 5}, "eps_k overflows"),
-    ({"D": 1e200}, None, "outer_iters overflows"),
-    ({"target_eps": 1e-320}, None, "outer_iters overflows"),
-    ({"target_p": 1e-320}, None, "candidates_per_iter overflows"),
+    ({"D": 1e200}, {}, "outer_iters overflows"),
+    # a pinned outer_iters is never derived, so D^2 overflows eps_k instead
+    ({"D": 1e200}, {"outer_iters": 3, "inner_iters": 5}, "eps_k overflows"),
+    ({"eps": 1e-320}, {}, "outer_iters overflows"),
+    ({"p": 1e-320}, {}, "candidates_per_iter overflows"),
 ])
-def test_overflowing_targets_raise_validation_error(changes, overrides, match):
-    args = {"mu": 1.0, "L": 4.0, "sigma": 1.0, "D": 1.0, "target_eps": 0.02, "target_p": 0.05}
+def test_overflowing_targets_raise_validation_error(changes, pins, match):
+    args = {"mu": 1.0, "L": 4.0, "sigma": 1.0, "D": 1.0, "eps": 0.02, "p": 0.05, **changes}
+    algo = AlgoSpec(eps=args.pop("eps"), p=args.pop("p"), mode="practical", **pins)
     with pytest.raises(ValidationError, match=match):
-        derive_schedule(**{**args, **changes}, overrides=overrides, mode="practical")
+        derive_schedule(**args, algo=algo)
 
 
-@pytest.mark.parametrize("mu, overrides", [(1e-17, None), (1e-17, {"inner_iters": 5}), (1e-15, None)])
-def test_alpha_floor_rounding_to_one_blames_the_conditioning(mu, overrides):
+def test_pinned_candidates_skip_their_derivation():
+    # ln(2K/p) overflows at p = 1e-320, but a pinned n never needs it
+    s = derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=0.02, p=1e-320, mode="practical", candidates=4))
+    assert s.candidates_per_iter == 4
+    with pytest.raises(ValidationError, match="candidates_per_iter must be >= 1, got 0"):
+        derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=0.02, p=0.05, candidates=0))
+
+
+# The smallest feasible I here lies between 2^19 and I_CAP, where a
+# doubling search that probes only powers of two overshoots to I_CAP.
+OVERSHOOT = (0.0014326604092538948, 0.0031441589855449614, 2.8948299582487724, 0.04878031079289238,
+             AlgoSpec(eps=0.08266283133352846, p=0.05, mode="practical"))
+
+
+@pytest.mark.parametrize("name", ["overshoot", "heavy_tail", "lasso_box", "quadratic_gaussian"])
+def test_derived_inner_iters_is_the_smallest_that_meets_the_target(name):
+    if name == "overshoot":
+        mu, L, sigma, D, algo = OVERSHOOT
+    else:
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        problem = build_problem(cfg)
+        mu, L, sigma, D = problem.mu, problem.L, problem.sigma, problem.diameter
+        algo = AlgoSpec(eps=cfg.algo.eps, p=cfg.algo.p, mode=cfg.algo.mode)  # no pins
+    s = derive_schedule(mu, L, sigma, D, algo)
+    req, act = s.diagnostics["per_call_bound"]
+
+    def gap_bound(I):
+        return epsilon_k_bound(alpha_floor(I, s.lam, L), I, s.lam, sigma, D, L)
+
+    if name == "overshoot":
+        assert s.feasible and s.inner_iters == 789_753
+    if s.feasible:
+        assert act <= req < gap_bound(s.inner_iters - 1)
+    else:
+        # the shipped configs sit past the bias floor: no I up to the
+        # cap meets the target, since the bound falls with I
+        assert gap_bound(I_CAP) > req
+
+
+@pytest.mark.parametrize("mu, pins", [(1e-17, {}), (1e-17, {"inner_iters": 5}), (1e-15, {})])
+def test_alpha_floor_rounding_to_one_blames_the_conditioning(mu, pins):
     with pytest.raises(ValidationError, match=r"kappa=4e\+1[57] at I=\d+ is too ill-conditioned"):
-        derive_schedule(mu, 4.0, 0.0, 1.0, 0.02, 0.05, overrides=overrides, mode="practical")
+        derive_schedule(mu, 4.0, 0.0, 1.0, AlgoSpec(eps=0.02, p=0.05, mode="practical", **pins))
 
 
-@pytest.mark.parametrize("overrides", [None, {"inner_iters": 5}])
-def test_underflowing_eps_k_raises_validation_error(overrides):
+@pytest.mark.parametrize("pins", [{}, {"inner_iters": 5}])
+def test_underflowing_eps_k_raises_validation_error(pins):
     with pytest.raises(ValidationError, match="eps_k underflows to 0"):
-        derive_schedule(1.0, 4.0, 0.0, 1e-200, 0.02, 0.05, overrides=overrides, mode="practical")
+        derive_schedule(1.0, 4.0, 0.0, 1e-200, AlgoSpec(eps=0.02, p=0.05, mode="practical", **pins))
 
 
 def test_total_samples_formula():
-    s = derive_schedule(1.0, 4.0, 1.0, 1.0, 0.1, 0.1,
-                        overrides={"outer_iters": 3, "inner_iters": 10,
-                                   "rge_batch": 13, "candidates_per_iter": 7})
+    s = derive_schedule(1.0, 4.0, 1.0, 1.0,
+                        AlgoSpec(eps=0.1, p=0.1, outer_iters=3, inner_iters=10, rge_batch=13, candidates=7))
     assert total_samples(s) == 7 * 3 * 11 + 7 * 3 * 13
 
 
 def small_schedule(problem, K=3, I=15, n=5, q=4):
     return derive_schedule(
-        problem.mu, problem.L, 1.0, problem.diameter, 0.5, 0.1,
-        mode="practical",
-        overrides={"outer_iters": K, "inner_iters": I,
-                   "candidates_per_iter": n, "rge_batch": q},
+        problem.mu, problem.L, 1.0, problem.diameter,
+        AlgoSpec(eps=0.5, p=0.1, mode="practical", outer_iters=K, inner_iters=I, candidates=n, rge_batch=q),
     )
 
 
@@ -279,10 +310,8 @@ def test_non_finite_rge_mean_raises_with_partial_record():
 
 def test_sppm_run_noiseless_converges(ball_problem):
     s = derive_schedule(
-        ball_problem.mu, ball_problem.L, 0.0, ball_problem.diameter, 0.05, 0.1,
-        mode="practical",
-        overrides={"outer_iters": 8, "inner_iters": 60,
-                   "candidates_per_iter": 2, "rge_batch": 1},
+        ball_problem.mu, ball_problem.L, 0.0, ball_problem.diameter,
+        AlgoSpec(eps=0.05, p=0.1, mode="practical", outer_iters=8, inner_iters=60, candidates=2, rge_batch=1),
     )
     noise = NoiseModel(family="gaussian", sigma=0.0)
     z0 = np.array(ball_problem.start)

@@ -25,13 +25,13 @@ def spec(kind="quadratic-ball", **kw):
 
 
 def test_quadratic_spectrum_attains_mu_and_L():
-    p = generate_problem(spec(dim=2), 3)
+    p = generate_problem(spec(dim=2, instance_seed=3))
     eigs = np.linalg.eigvalsh(p.meta["hessian"])
     assert np.allclose(sorted(eigs), [1.0, 2.0], atol=1e-9)
 
 
 def test_quadratic_spectrum_inside_range():
-    p = generate_problem(spec(dim=9, L=5.0), 4)
+    p = generate_problem(spec(dim=9, L=5.0, instance_seed=4))
     eigs = np.linalg.eigvalsh(p.meta["hessian"])
     assert eigs.min() == pytest.approx(1.0, abs=1e-9)
     assert eigs.max() == pytest.approx(5.0, abs=1e-9)
@@ -40,19 +40,19 @@ def test_quadratic_spectrum_inside_range():
 
 @pytest.mark.parametrize("kind", ["quadratic-ball", "ridge-l1-box", "logreg-ridge-ball"])
 def test_same_seed_same_instance(kind):
-    a = generate_problem(spec(kind), 17)
-    b = generate_problem(spec(kind), 17)
+    a = generate_problem(spec(kind, instance_seed=17))
+    b = generate_problem(spec(kind, instance_seed=17))
     assert np.array_equal(a.x_star, b.x_star)
     assert np.array_equal(a.start, b.start)
     x = a.h.interior_point(a.dim)
     assert np.array_equal(a.grad_f(x), b.grad_f(x))
-    c = generate_problem(spec(kind), 18)
+    c = generate_problem(spec(kind, instance_seed=18))
     assert not np.array_equal(a.start, c.start)
 
 
 @pytest.mark.parametrize("kind", ["quadratic-ball", "ridge-l1-box", "logreg-ridge-ball"])
 def test_optimum_is_prox_fixpoint(kind):
-    p = generate_problem(spec(kind), 6)
+    p = generate_problem(spec(kind, instance_seed=6))
     t = 1.0 / p.L
     step = prox_map(p.h, p.x_star - t * p.grad_f(p.x_star), t)
     assert np.linalg.norm(step - p.x_star) <= 1e-7
@@ -60,19 +60,19 @@ def test_optimum_is_prox_fixpoint(kind):
 
 
 def test_cold_start_on_ball_boundary():
-    p = generate_problem(spec(dim=7), 9)
+    p = generate_problem(spec(dim=7, instance_seed=9))
     assert np.linalg.norm(p.start) == pytest.approx(1.0, abs=1e-12)
     assert p.h.contains(p.start)
 
 
 def test_cold_start_on_box_corner():
-    p = generate_problem(spec("ridge-l1-box", dim=6), 9)
+    p = generate_problem(spec("ridge-l1-box", dim=6, instance_seed=9))
     assert np.allclose(np.abs(p.start), 1.0)
     assert p.h.contains(p.start)
 
 
 def test_finite_sum_oracle_wiring():
-    p = generate_problem(spec("ridge-l1-box"), 12)
+    p = generate_problem(spec("ridge-l1-box", instance_seed=12))
     oracle = p.meta["oracle"]
     assert oracle.count == 30
     # sigma is the pool's spread at the domain center
@@ -89,7 +89,7 @@ def test_component_oracles_match_fancy_index_expressions():
     # the take() gathers and in-place ridge terms keep every bit of the
     # plain indexing expressions they replace; the dot product is the
     # row-wise vecdot, which rounds alike at every row count
-    p = generate_problem(spec("ridge-l1-box", dim=8, components=200), 5)
+    p = generate_problem(spec("ridge-l1-box", dim=8, components=200, instance_seed=5))
     oracle = p.meta["oracle"]
     env = inspect.getclosurevars(oracle.component_grad).nonlocals
     A, y, ridge = env["A"], env["y"], env["ridge"]
@@ -106,7 +106,7 @@ def test_component_oracles_match_fancy_index_expressions():
 
 
 def _ridge_oracle():
-    p = generate_problem(spec("ridge-l1-box", dim=8, components=200), 5)
+    p = generate_problem(spec("ridge-l1-box", dim=8, components=200, instance_seed=5))
     return p.meta["oracle"], inspect.getclosurevars(p.meta["oracle"].component_grad).nonlocals
 
 
@@ -171,8 +171,8 @@ def test_component_table_is_per_thread():
 
 def test_validation_errors():
     with pytest.raises(ValidationError):
-        generate_problem(spec(mu=3.0), 1)  # mu > L
+        generate_problem(spec(mu=3.0, instance_seed=1))  # mu > L
     with pytest.raises(ValidationError):
-        generate_problem(spec(radius=0.0), 1)
+        generate_problem(spec(radius=0.0, instance_seed=1))
     with pytest.raises(ValidationError):
-        generate_problem(spec("ridge-l1-box", components=2), 1)  # pool < dim
+        generate_problem(spec("ridge-l1-box", components=2, instance_seed=1))  # pool < dim

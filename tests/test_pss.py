@@ -157,7 +157,7 @@ def test_batch_memory_does_not_grow_with_inner_iters():
     # a one-shot plan would be 57 * 21,001 * 10 doubles (96 MB).
     spec = ProblemSpec(kind="quadratic-ball", dim=10, mu=1.0, L=4.0,
                        radius=0.5, instance_seed=20260819)
-    problem = generate_problem(spec, spec.instance_seed)
+    problem = generate_problem(spec)
     noise = NoiseModel(family="student_t", sigma=1.0, nu=3.0)
     I = 21_000
     cfg = PssConfig(x0=problem.start, alpha=alpha_floor(I, 3.0, problem.L), lam=3.0, inner_iters=I)

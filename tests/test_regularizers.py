@@ -102,8 +102,10 @@ def test_value_and_contains_rows_match_one_row_calls(h):
     assert values.shape == inside.shape == (len(X),) and inside.dtype == bool
     assert values.tobytes() == np.array([h.value(x) for x in X]).tobytes()
     assert inside.tolist() == [bool(h.contains(x)) for x in X]
-    # no point with a NaN or infinite coordinate lies in any dom h
+    # no point with a NaN or infinite coordinate lies in any dom h, and
+    # h is +inf wherever it is outside
     assert not inside[-len(NON_FINITE):].any()
+    assert (values[~inside] == math.inf).all()
 
 
 @pytest.mark.parametrize("h", ALL, ids=lambda h: type(h).__name__)

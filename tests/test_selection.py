@@ -151,9 +151,9 @@ def test_rge_means_are_bitwise_batch_means(monkeypatch, dim):
     # each batch's rows of one step-major draw bit for bit, on every
     # family of batch the booster draws, at n = 3 and n = 288
     quad = generate_problem(ProblemSpec(kind="quadratic-ball", dim=dim, mu=1.0, L=4.0,
-                                        radius=0.5, instance_seed=dim), dim)
+                                        radius=0.5, instance_seed=dim))
     ridge = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=dim, mu=1.0, L=3.0,
-                                         box_halfwidth=1.0, components=40, instance_seed=dim), dim)
+                                         box_halfwidth=1.0, components=40, instance_seed=dim))
     cases = [
         (quad, NoiseModel(family="gaussian", sigma=1.0)),
         (quad, NoiseModel(family="student_t", sigma=1.0, nu=3.0)),
@@ -185,7 +185,7 @@ def test_rge_chunks_match_one_shot_batches(monkeypatch, family):
     dim = 4
     if family == "finite_sum":
         problem = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=dim, mu=1.0, L=3.0,
-                                               box_halfwidth=1.0, components=40, instance_seed=2), 2)
+                                               box_halfwidth=1.0, components=40, instance_seed=2))
         oracle = problem.meta["oracle"]
         counted = [0]
 
@@ -196,7 +196,7 @@ def test_rge_chunks_match_one_shot_batches(monkeypatch, family):
         noise = dataclasses.replace(oracle, component_grad=component_grad)
     else:
         problem = generate_problem(ProblemSpec(kind="quadratic-ball", dim=dim, mu=1.0, L=4.0,
-                                               radius=0.5, instance_seed=2), 2)
+                                               radius=0.5, instance_seed=2))
         noise = CountingNoise(NoiseModel(family=family, sigma=1.0))
     seen = []
 
@@ -260,11 +260,11 @@ def test_rge_memory_does_not_grow_with_q(kind):
     # one batch of q = 2^21 rows at dim 4 would be 64 MiB in one piece
     if kind == "finite_sum":
         problem = generate_problem(ProblemSpec(kind="ridge-l1-box", dim=4, mu=1.0, L=3.0,
-                                               box_halfwidth=1.0, components=40, instance_seed=3), 3)
+                                               box_halfwidth=1.0, components=40, instance_seed=3))
         noise = problem.meta["oracle"]
     else:
         problem = generate_problem(ProblemSpec(kind="quadratic-ball", dim=4, mu=1.0, L=4.0,
-                                               radius=0.5, instance_seed=3), 3)
+                                               radius=0.5, instance_seed=3))
         noise = NoiseModel(family="gaussian", sigma=1.0)
     x = problem.h.interior_point(4)
     tracemalloc.start()
