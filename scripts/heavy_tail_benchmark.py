@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sppm.cli import EXIT_OK, report_errors
-from sppm.config import load_config, parse_config, serialize_config
+from sppm.config import load_config
 from sppm.harness import (
     build_problem,
     emit_report,
@@ -28,18 +28,13 @@ from sppm.problems import evaluate_phi
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def validated(cfg):
-    """cfg after the checks a config file goes through."""
-    return parse_config(serialize_config(cfg))
-
-
 def retarget(cfg, fraction):
     problem = build_problem(cfg)
     gap0 = evaluate_phi(problem, initial_iterate(problem)) - problem.phi_star
     eps = fraction * gap0
     print(f"cold-start gap {gap0:.6f}; retargeting eps to {eps:.6f} "
           f"({fraction:.0%} of it)")
-    return validated(replace(cfg, algo=replace(cfg.algo, eps=eps)))
+    return replace(cfg, algo=replace(cfg.algo, eps=eps))
 
 
 def main():
@@ -54,7 +49,7 @@ def main():
 
     cfg = load_config(args.config)
     if args.trials is not None:
-        cfg = validated(replace(cfg, run=replace(cfg.run, trials=args.trials)))
+        cfg = replace(cfg, run=replace(cfg.run, trials=args.trials))
     if args.retarget is not None:
         cfg = retarget(cfg, args.retarget)
 

@@ -132,7 +132,7 @@ def report_errors(fn, *args) -> int:
         if exc.schedule is not None:
             print(json.dumps(schedule_to_dict(exc.schedule), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,7 +1,8 @@
 """Experiment configuration: flat dotted-key text files.
 
 One key per line, `key = value`, `#` comments.  The schema is strict:
-unknown keys are rejected, required keys checked per problem kind, and
+unknown keys are rejected, each spec dataclass checks its own fields
+when it is built (parsed, constructed or `dataclasses.replace`d), and
 serialize(parse(text)) is a fixed point (all set keys emitted in schema
 order).  Example:
 
@@ -35,6 +36,13 @@ NOISE_CHOICES = FAMILIES + ("finite_sum",)
 MODES = ("verbatim", "practical")
 
 
+def check_seed(key: str, value: int) -> int:
+    """value, or ConfigError naming key when it lies outside SEED_RANGE."""
+    if value not in SEED_RANGE:
+        raise ConfigError(f"{key} must lie in [-2**63, 2**63), got {value}")
+    return value
+
+
 @dataclass(frozen=True, kw_only=True)
 class ProblemSpec:
     kind: str
@@ -47,12 +55,38 @@ class ProblemSpec:
     components: int = 200
     instance_seed: int
 
+    def __post_init__(self):
+        check_seed("problem.instance_seed", self.instance_seed)
+        if self.kind not in KINDS:
+            raise ConfigError(f"problem.kind must be one of {KINDS}, got {self.kind!r}")
+        if self.dim < 2:
+            raise ConfigError(f"problem.dim must be >= 2, got {self.dim}")
+        if not (0.0 < self.mu < self.L):
+            raise ConfigError(f"need 0 < problem.mu < problem.L, got {self.mu}, {self.L}")
+        if self.kind == "ridge-l1-box":
+            if self.box_halfwidth is None or self.box_halfwidth <= 0.0:
+                raise ConfigError("ridge-l1-box requires a positive problem.box_halfwidth")
+        elif self.radius is None or self.radius <= 0.0:
+            raise ConfigError(f"{self.kind} requires a positive problem.radius")
+        if self.l1_weight < 0.0:
+            raise ConfigError(f"problem.l1_weight must be >= 0, got {self.l1_weight}")
+        if self.kind in ("ridge-l1-box", "logreg-ridge-ball") and self.components < self.dim:
+            raise ConfigError("problem.components must be at least problem.dim")
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
     family: str
     sigma: float
     nu: float = 3.0
+
+    def __post_init__(self):
+        if self.family not in NOISE_CHOICES:
+            raise ConfigError(f"noise.family must be one of {NOISE_CHOICES}, got {self.family!r}")
+        if self.sigma < 0.0:
+            raise ConfigError(f"noise.sigma must be >= 0, got {self.sigma}")
+        if self.family == "student_t" and self.nu <= 2.0:
+            raise ConfigError(f"noise.nu must exceed 2, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -65,12 +99,33 @@ class AlgoSpec:
     rge_batch: Optional[int] = None
     outer_iters: Optional[int] = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.eps):
+            raise ConfigError(f"algo.auto.eps: must be finite, got {self.eps!r}")
+        if self.eps <= 0.0:
+            raise ConfigError(f"algo.auto.eps must be > 0, got {self.eps}")
+        if not (0.0 < self.p < 1.0):
+            raise ConfigError(f"algo.auto.p must lie in (0,1), got {self.p}")
+        if self.mode not in MODES:
+            raise ConfigError(f"algo.mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("inner_iters", "candidates", "rge_batch", "outer_iters"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ConfigError(f"algo.{name} must be >= 1, got {v}")
+
 
 @dataclass(frozen=True)
 class RunSpec:
     master_seed: int
     trials: int = 1
     parallelism: int = 1
+
+    def __post_init__(self):
+        check_seed("run.master_seed", self.master_seed)
+        if self.trials < 1:
+            raise ConfigError(f"run.trials must be >= 1, got {self.trials}")
+        if self.parallelism < 1:
+            raise ConfigError(f"run.parallelism must be >= 1, got {self.parallelism}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +134,15 @@ class ExperimentConfig:
     noise: NoiseSpec
     algo: AlgoSpec
     run: RunSpec
+
+    def __post_init__(self):
+        if self.noise.family == "finite_sum" and self.problem.kind != "ridge-l1-box":
+            raise ConfigError("finite_sum noise is only available for ridge-l1-box")
+        if self.noise.family == "finite_sum" and self.noise.sigma != 0.0:
+            raise ConfigError(
+                f"noise.sigma must be 0 with finite_sum noise, which estimates its variance "
+                f"from the component pool; got {self.noise.sigma}"
+            )
 
 
 # section -> spec dataclass, in ExperimentConfig field order
@@ -135,65 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, value in seen.items():
         section, attr, *_ = _SCHEMA[key]
         sections[section][attr] = value
-    cfg = ExperimentConfig(**{s: spec(**sections[s]) for s, spec in _SECTIONS.items()})
-    _validate(cfg)
-    return cfg
-
-
-def check_seed(key: str, value: int) -> int:
-    """value, or ConfigError naming key when it lies outside SEED_RANGE."""
-    if value not in SEED_RANGE:
-        raise ConfigError(f"{key} must lie in [-2**63, 2**63), got {value}")
-    return value
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    p, nz, algo, run = cfg.problem, cfg.noise, cfg.algo, cfg.run
-    check_seed("problem.instance_seed", p.instance_seed)
-    check_seed("run.master_seed", run.master_seed)
-    if p.kind not in KINDS:
-        raise ConfigError(f"problem.kind must be one of {KINDS}, got {p.kind!r}")
-    if p.dim < 2:
-        raise ConfigError(f"problem.dim must be >= 2, got {p.dim}")
-    if not (0.0 < p.mu < p.L):
-        raise ConfigError(f"need 0 < problem.mu < problem.L, got {p.mu}, {p.L}")
-    if p.kind in ("quadratic-ball", "logreg-ridge-ball"):
-        if p.radius is None or p.radius <= 0.0:
-            raise ConfigError(f"{p.kind} requires a positive problem.radius")
-    if p.kind == "ridge-l1-box":
-        if p.box_halfwidth is None or p.box_halfwidth <= 0.0:
-            raise ConfigError("ridge-l1-box requires a positive problem.box_halfwidth")
-    if p.l1_weight < 0.0:
-        raise ConfigError(f"problem.l1_weight must be >= 0, got {p.l1_weight}")
-    if p.components < p.dim:
-        raise ConfigError("problem.components must be at least problem.dim")
-    if nz.family not in NOISE_CHOICES:
-        raise ConfigError(f"noise.family must be one of {NOISE_CHOICES}, got {nz.family!r}")
-    if nz.family == "finite_sum" and p.kind != "ridge-l1-box":
-        raise ConfigError("finite_sum noise is only available for ridge-l1-box")
-    if nz.sigma < 0.0:
-        raise ConfigError(f"noise.sigma must be >= 0, got {nz.sigma}")
-    if nz.family == "finite_sum" and nz.sigma != 0.0:
-        raise ConfigError(
-            f"noise.sigma must be 0 with finite_sum noise, which estimates its variance "
-            f"from the component pool; got {nz.sigma}"
-        )
-    if nz.family == "student_t" and nz.nu <= 2.0:
-        raise ConfigError(f"noise.nu must exceed 2, got {nz.nu}")
-    if algo.eps <= 0.0:
-        raise ConfigError(f"algo.auto.eps must be > 0, got {algo.eps}")
-    if not (0.0 < algo.p < 1.0):
-        raise ConfigError(f"algo.auto.p must lie in (0,1), got {algo.p}")
-    if algo.mode not in MODES:
-        raise ConfigError(f"algo.mode must be one of {MODES}, got {algo.mode!r}")
-    for name in ("inner_iters", "candidates", "rge_batch", "outer_iters"):
-        v = getattr(algo, name)
-        if v is not None and v < 1:
-            raise ConfigError(f"algo {name} override must be >= 1, got {v}")
-    if run.trials < 1:
-        raise ConfigError(f"run.trials must be >= 1, got {run.trials}")
-    if run.parallelism < 1:
-        raise ConfigError(f"run.parallelism must be >= 1, got {run.parallelism}")
+    return ExperimentConfig(**{s: spec(**sections[s]) for s, spec in _SECTIONS.items()})
 
 
 def _format(value) -> str:

@@ -80,7 +80,8 @@ def derive_schedule(mu: float, L: float, sigma: float, D: float, algo: AlgoSpec)
     """Fill a Schedule from algo's targets (eps, p) and mode; algo's
     non-None pins (inner_iters, candidates, rge_batch, outer_iters) are
     taken as given and the dependent quantities are recomputed around
-    them.  lam is 3/mu and alpha sits at its floor for the derived I.
+    them (AlgoSpec has checked all seven).  lam is 3/mu and alpha sits
+    at its floor for the derived I.
 
     Targets that overflow a derived quantity, round alpha's floor to 1
     or underflow eps_k to 0 raise ValidationError.
@@ -90,7 +91,7 @@ def derive_schedule(mu: float, L: float, sigma: float, D: float, algo: AlgoSpec)
     diagnostics, never an exception.
     """
     target_eps, target_p, mode = algo.eps, algo.p, algo.mode
-    for name, value in (("mu", mu), ("L", L), ("sigma", sigma), ("D", D), ("target_eps", target_eps)):
+    for name, value in (("mu", mu), ("L", L), ("sigma", sigma), ("D", D)):
         if not math.isfinite(value):
             bounded = " (dom h must be bounded)" if name == "D" else ""
             raise ValidationError(f"{name} must be finite{bounded}, got {value}")
@@ -98,10 +99,6 @@ def derive_schedule(mu: float, L: float, sigma: float, D: float, algo: AlgoSpec)
         raise ValidationError("need mu, L, D > 0 and sigma >= 0")
     if L <= mu:
         raise ValidationError(f"need L > mu, got mu={mu}, L={L}")
-    if target_eps <= 0.0 or not (0.0 < target_p < 1.0):
-        raise ValidationError("need target_eps > 0 and target_p in (0,1)")
-    if mode not in ("verbatim", "practical"):
-        raise ValidationError(f"unknown mode {mode!r}")
 
     def finite(name, value):
         """value, or ValidationError when the targets overflow it."""

@@ -9,8 +9,8 @@ class DomainError(ValidationError):
     """A point lies outside the admissible set of a regularizer."""
 
 
-class ConfigError(ValueError):
-    """An experiment config failed to parse or validate."""
+class ConfigError(ValidationError):
+    """An experiment config or spec failed to parse or validate."""
 
 
 class NumericError(RuntimeError):

@@ -28,7 +28,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ValidationError
 from .problems import CompositeProblem, FiniteSumOracle, evaluate_phi, minimize_phi
 from .regularizers import Box, L1Box, L2Ball
 from .rng import RngStream
@@ -47,19 +46,9 @@ def _spectrum(gen, lo, hi, d):
     return np.concatenate(([lo, hi], inner))
 
 
-def _check(spec):
-    if spec.kind not in KINDS:
-        raise ValidationError(f"unknown problem kind {spec.kind!r}")
-    if spec.dim < 2:
-        raise ValidationError("need dim >= 2 so the spectrum can attain both mu and L")
-    if not (0.0 < spec.mu < spec.L):
-        raise ValidationError(f"need 0 < mu < L, got mu={spec.mu}, L={spec.L}")
-
-
 def generate_problem(spec) -> CompositeProblem:
     """Build the instance described by spec, deterministically from
-    spec.instance_seed."""
-    _check(spec)
+    spec.instance_seed; the ProblemSpec has checked its own fields."""
     gen = RngStream(int(spec.instance_seed)).child("instance").generator(shared=False)
     if spec.kind == "quadratic-ball":
         return _quadratic_ball(spec, gen)
@@ -76,8 +65,6 @@ def _finish(problem: CompositeProblem, x_init) -> CompositeProblem:
 def _quadratic_ball(spec, gen) -> CompositeProblem:
     d = spec.dim
     r = spec.radius
-    if r is None or r <= 0.0:
-        raise ValidationError("quadratic-ball needs a positive radius")
     Q = _haar_orthogonal(gen, d)
     eigs = _spectrum(gen, spec.mu, spec.L, d)
     A = (Q * eigs) @ Q.T
@@ -114,11 +101,7 @@ def _quadratic_ball(spec, gen) -> CompositeProblem:
 def _ridge_l1_box(spec, gen) -> CompositeProblem:
     d = spec.dim
     b = spec.box_halfwidth
-    if b is None or b <= 0.0:
-        raise ValidationError("ridge-l1-box needs a positive box_halfwidth")
     N = spec.components
-    if N < d:
-        raise ValidationError(f"component pool ({N}) must be at least dim ({d})")
     ridge = 0.5 * spec.mu
     # A'A/N spectrum spans [mu - ridge, L - ridge] exactly.
     eigs = _spectrum(gen, spec.mu - ridge, spec.L - ridge, d)
@@ -190,11 +173,7 @@ def _ridge_l1_box(spec, gen) -> CompositeProblem:
 def _logreg_ridge_ball(spec, gen) -> CompositeProblem:
     d = spec.dim
     r = spec.radius
-    if r is None or r <= 0.0:
-        raise ValidationError("logreg-ridge-ball needs a positive radius")
     N = spec.components
-    if N < d:
-        raise ValidationError(f"component pool ({N}) must be at least dim ({d})")
     ridge = spec.mu  # logistic term only adds curvature
     # Logistic curvature is at most 1/4, so pin lambda_max(A'A/N) = 4(L - mu).
     eigs = _spectrum(gen, 0.05 * (spec.L - ridge), 4.0 * (spec.L - ridge), d)

@@ -30,7 +30,7 @@ from .driver import (
     sppm_run,
     total_samples,
 )
-from .errors import ConfigError, InfeasibleScheduleError, ValidationError
+from .errors import InfeasibleScheduleError, ValidationError
 from .generate import generate_problem
 from .noise import NoiseModel
 from .problems import CompositeProblem, evaluate_phi
@@ -86,10 +86,7 @@ def build_problem(cfg: ExperimentConfig) -> CompositeProblem:
 
 def build_noise(cfg: ExperimentConfig, problem: CompositeProblem):
     if cfg.noise.family == "finite_sum":
-        oracle = problem.meta.get("oracle")
-        if oracle is None:
-            raise ConfigError("finite_sum noise needs a problem with a component pool")
-        return oracle
+        return problem.meta["oracle"]
     return NoiseModel(family=cfg.noise.family, sigma=cfg.noise.sigma, nu=cfg.noise.nu)
 
 

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from sppm.config import (
     serialize_config,
 )
 from sppm.errors import ConfigError
+from sppm.harness import build_problem, build_schedule
 
 BASE = """\
 # reference heavy-tail experiment
@@ -107,6 +108,36 @@ def test_finite_sum_rejects_a_nonzero_sigma():
     with pytest.raises(ConfigError, match="noise.sigma must be 0 with finite_sum"):
         parse_config(text)
     assert parse_config(text.replace("noise.sigma = 1.0", "noise.sigma = 0.0")).noise.sigma == 0.0
+
+
+@pytest.mark.parametrize("pin", ["inner_iters", "candidates", "rge_batch", "outer_iters"])
+def test_pin_below_one_names_its_key(pin):
+    with pytest.raises(ConfigError, match=f"^algo.{pin} must be >= 1, got 0$"):
+        parse_config(BASE + f"algo.{pin} = 0\n")
+
+
+def test_pool_size_applies_only_to_kinds_with_a_pool():
+    # quadratic-ball has no component pool, so components < dim is fine
+    cfg = parse_config(BASE.replace("problem.dim = 10", "problem.dim = 250"))
+    assert cfg.problem.components < cfg.problem.dim
+    assert build_schedule(cfg, build_problem(cfg)).inner_iters >= 1
+    logreg = BASE.replace("quadratic-ball", "logreg-ridge-ball") + "problem.components = 9\n"
+    with pytest.raises(ConfigError, match="problem.components must be at least problem.dim"):
+        parse_config(logreg)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda cfg: replace(cfg.run, trials=0), "run.trials must be >= 1, got 0"),
+    (lambda cfg: replace(cfg.run, parallelism=0), "run.parallelism must be >= 1, got 0"),
+    (lambda cfg: replace(cfg.algo, eps=-1.0), "algo.auto.eps must be > 0, got -1.0"),
+    (lambda cfg: replace(cfg.algo, mode="bogus"), "algo.mode must be one of"),
+    (lambda cfg: replace(cfg, noise=replace(cfg.noise, family="finite_sum", sigma=0.0)),
+     "finite_sum noise is only available for ridge-l1-box"),
+], ids=["trials", "parallelism", "eps", "mode", "finite_sum"])
+def test_replace_checks_the_spec(change, match):
+    # a replaced spec goes through the same checks as a parsed one
+    with pytest.raises(ConfigError, match=match):
+        change(parse_config(BASE))
 
 
 def test_missing_equals_sign():

@@ -86,7 +86,8 @@ def test_override_invariants_enforced():
     ("sigma", math.inf, "sigma must be finite"),
     ("sigma", math.nan, "sigma must be finite"),
     ("mu", math.nan, "mu must be finite"),
-    ("target_eps", math.nan, "target_eps must be finite"),
+    # AlgoSpec rejects a non-finite eps before derive_schedule runs
+    ("target_eps", math.nan, "algo.auto.eps: must be finite"),
 ])
 def test_non_finite_arguments_rejected(name, value, match):
     args = {"mu": 1.0, "L": 4.0, "sigma": 1.0, "D": 1.0, "target_eps": 0.1, name: value}
@@ -129,7 +130,8 @@ def test_pinned_candidates_skip_their_derivation():
     # ln(2K/p) overflows at p = 1e-320, but a pinned n never needs it
     s = derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=0.02, p=1e-320, mode="practical", candidates=4))
     assert s.candidates_per_iter == 4
-    with pytest.raises(ValidationError, match="candidates_per_iter must be >= 1, got 0"):
+    # the pin fails when the AlgoSpec is built
+    with pytest.raises(ValidationError, match="algo.candidates must be >= 1, got 0"):
         derive_schedule(1.0, 4.0, 1.0, 1.0, AlgoSpec(eps=0.02, p=0.05, candidates=0))
 
 
