@@ -43,6 +43,15 @@ def check_seed(key: str, value: int) -> int:
     return value
 
 
+def _check_finite(section: str, spec) -> None:
+    """ConfigError naming the first float field of spec that is inf or nan."""
+    for f in fields(spec):
+        key = _KEY_NAMES.get(f"{section}.{f.name}", f"{section}.{f.name}")
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class ProblemSpec:
     kind: str
@@ -57,6 +66,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         check_seed("problem.instance_seed", self.instance_seed)
+        _check_finite("problem", self)
         if self.kind not in KINDS:
             raise ConfigError(f"problem.kind must be one of {KINDS}, got {self.kind!r}")
         if self.dim < 2:
@@ -81,6 +91,7 @@ class NoiseSpec:
     nu: float = 3.0
 
     def __post_init__(self):
+        _check_finite("noise", self)
         if self.family not in NOISE_CHOICES:
             raise ConfigError(f"noise.family must be one of {NOISE_CHOICES}, got {self.family!r}")
         if self.sigma < 0.0:
@@ -100,8 +111,7 @@ class AlgoSpec:
     outer_iters: Optional[int] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.eps):
-            raise ConfigError(f"algo.auto.eps: must be finite, got {self.eps!r}")
+        _check_finite("algo", self)
         if self.eps <= 0.0:
             raise ConfigError(f"algo.auto.eps must be > 0, got {self.eps}")
         if not (0.0 < self.p < 1.0):
@@ -169,12 +179,9 @@ _SCHEMA = _build_schema()
 
 def _convert(key, raw, typ):
     try:
-        value = typ(raw)
+        return typ(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {raw!r}")
-    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -49,7 +49,7 @@ def _spectrum(gen, lo, hi, d):
 def generate_problem(spec) -> CompositeProblem:
     """Build the instance described by spec, deterministically from
     spec.instance_seed; the ProblemSpec has checked its own fields."""
-    gen = RngStream(int(spec.instance_seed)).child("instance").generator(shared=False)
+    gen = RngStream(int(spec.instance_seed)).child("instance").philox()
     if spec.kind == "quadratic-ball":
         return _quadratic_ball(spec, gen)
     if spec.kind == "ridge-l1-box":

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -198,6 +199,32 @@ def test_non_finite_values_rejected(key, raw):
     text = "\n".join(kept + [f"{key} = {raw}"]) + "\n"
     with pytest.raises(ConfigError, match=f"{key}: must be finite"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_replace_rejects_non_finite_values(key, value):
+    # the spec holds the rule, so a replaced field fails like a parsed one
+    section, name, *_ = _SCHEMA[key]
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+        replace(getattr(parse_config(BASE), section), **{name: value})
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda v: ProblemSpec(kind="quadratic-ball", dim=4, mu=1.0, L=v, radius=1.0, instance_seed=3),
+     "problem.L"),
+    (lambda v: ProblemSpec(kind="ridge-l1-box", dim=4, mu=1.0, L=2.0, box_halfwidth=v, instance_seed=3),
+     "problem.box_halfwidth"),
+    (lambda v: ProblemSpec(kind="quadratic-ball", dim=4, mu=1.0, L=2.0, radius=1.0, l1_weight=v,
+                           instance_seed=3), "problem.l1_weight"),
+    (lambda v: NoiseSpec("gaussian", v), "noise.sigma"),
+    (lambda v: NoiseSpec("student_t", 1.0, nu=v), "noise.nu"),
+    (lambda v: AlgoSpec(eps=0.1, p=v), "algo.auto.p"),
+], ids=["L", "box_halfwidth", "l1_weight", "sigma", "nu", "p"])
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_constructed_spec_rejects_non_finite_values(build, key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite, got {value!r}$"):
+        build(value)
 
 
 def test_each_spec_field_has_exactly_one_key():

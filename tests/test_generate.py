@@ -1,11 +1,12 @@
 import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sppm.config import ProblemSpec
+from sppm.config import ProblemSpec, load_config
 from sppm.errors import ValidationError
 from sppm.generate import generate_problem
 from sppm.problems import evaluate_phi
@@ -57,6 +58,17 @@ def test_optimum_is_prox_fixpoint(kind):
     step = prox_map(p.h, p.x_star - t * p.grad_f(p.x_star), t)
     assert np.linalg.norm(step - p.x_star) <= 1e-7
     assert p.phi_star == pytest.approx(evaluate_phi(p, p.x_star), abs=1e-12)
+
+
+def test_heavy_tail_instance_is_pinned():
+    # configs/heavy_tail.cfg targets 5% of this instance's cold-start gap,
+    # and criterion 06's schedule follows from that target: a generator
+    # change that moves the instance must fail here, not retarget it.
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "heavy_tail.cfg"))
+    p = generate_problem(cfg.problem)
+    gap0 = evaluate_phi(p, p.start) - p.phi_star
+    assert gap0.hex() == (0.41458053522792215).hex()
+    assert cfg.algo.eps == 0.05 * gap0
 
 
 def test_cold_start_on_ball_boundary():
