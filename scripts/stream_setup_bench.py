@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Best-of-N timing of random-stream setup in two revisions, added to a
+"""Best-of-7 timing of random-stream setup in two revisions, added to a
 BENCH_<slug>.json record written by bench_pairs.py.
 
 Exports both revisions with `git archive` into a temporary directory
-(removed afterwards).  Each round starts one fresh process per revision,
-alternating which runs first, and times `RngStream.generator()` (the
-shared thread-local reset) and `generator(shared=False)` (an independent
-generator) over 64 inner-solve plan paths, after one untimed pass.  The
-record gains a `stream_setup` entry with each side's best round in
-microseconds per call:
+(removed afterwards).  Each of 7 rounds starts one fresh process per
+revision, alternating which runs first, and times
+`RngStream.generator()` (the shared thread-local reset) and
+`generator(shared=False)` (an independent generator) in 300 passes over
+64 inner-solve plan paths, after one untimed pass.  The record gains a
+`stream_setup` entry with each side's best round in microseconds per
+call:
 
     python3 scripts/stream_setup_bench.py --base HEAD~1 --head HEAD \\
         --record BENCH_stream_v2.json
@@ -26,17 +27,19 @@ from pathlib import Path
 
 from bench_pairs import export, machine, revision
 
+ROUNDS, NUMBER = 7, 300
+
 SNIPPET = """
 import json, sys, timeit
 from sppm.rng import RngStream
 streams = [RngStream(71).child("trial", 3).child("outer", 2).child("pss", j) for j in range(64)]
+number = int(sys.argv[1])
 def setup(shared):
     for s in streams:
         s.generator(shared=shared)
 out = {}
 for name, shared in (("shared_us", True), ("unshared_us", False)):
     setup(shared)
-    number = int(sys.argv[1])
     out[name] = timeit.timeit(lambda: setup(shared), number=number) / (number * len(streams)) * 1e6
 print(json.dumps(out))
 """
@@ -56,8 +59,6 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="revision measured as 'before'")
     ap.add_argument("--head", default="HEAD", help="revision measured as 'after'")
     ap.add_argument("--record", required=True, help="BENCH_*.json file to add the entry to")
-    ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--number", type=int, default=300, help="passes over the 64 paths per round")
     args = ap.parse_args(argv)
 
     path = Path(args.record)
@@ -66,12 +67,14 @@ def main(argv=None) -> int:
     rounds = {"base": [], "head": []}
     with tempfile.TemporaryDirectory(prefix="stream_setup_") as tmp:
         trees = {side: export(r["commit"], Path(tmp) / side) for side, r in revs.items()}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                rounds[side].append(time_setup(trees[side] / "src", args.number))
+                rounds[side].append(time_setup(trees[side] / "src", NUMBER))
                 print(side, json.dumps(rounds[side][-1]), flush=True)
     record["stream_setup"] = {
-        "command": f"python3 scripts/stream_setup_bench.py --rounds {args.rounds} --number {args.number}",
+        "command": "python3 scripts/stream_setup_bench.py",
+        "rounds_run": ROUNDS,
+        "passes_per_round": NUMBER,
         "revisions": revs,
         "machine": machine(),
         "best_us": {side: {k: min(r[k] for r in runs) for k in runs[0]} for side, runs in rounds.items()},
