@@ -4,15 +4,14 @@ BENCH_<slug>.json record written by bench_pairs.py.
 
 Exports both revisions with `git archive` into a temporary directory
 (removed afterwards).  Each of 7 rounds starts one fresh process per
-revision, alternating which runs first, and times
-`RngStream.generator()` (the shared thread-local reset) and
-`generator(shared=False)` (an independent generator) in 300 passes over
-64 inner-solve plan paths, after one untimed pass.  The record gains a
-`stream_setup` entry with each side's best round in microseconds per
-call:
+revision, alternating which runs first, and times `RngStream.generator()`,
+called with no arguments, in 300 passes over 64 inner-solve plan paths,
+after one untimed pass.  Each side times whatever that call does in its
+own revision.  The record gains a `stream_setup` entry with each side's
+best round in microseconds per call (key `us`):
 
     python3 scripts/stream_setup_bench.py --base HEAD~1 --head HEAD \\
-        --record BENCH_stream_v2.json
+        --record BENCH_one_generator.json
 """
 
 from __future__ import annotations
@@ -34,20 +33,18 @@ import json, sys, timeit
 from sppm.rng import RngStream
 streams = [RngStream(71).child("trial", 3).child("outer", 2).child("pss", j) for j in range(64)]
 number = int(sys.argv[1])
-def setup(shared):
+def setup():
     for s in streams:
-        s.generator(shared=shared)
-out = {}
-for name, shared in (("shared_us", True), ("unshared_us", False)):
-    setup(shared)
-    out[name] = timeit.timeit(lambda: setup(shared), number=number) / (number * len(streams)) * 1e6
-print(json.dumps(out))
+        s.generator()
+setup()
+us = timeit.timeit(setup, number=number) / (number * len(streams)) * 1e6
+print(json.dumps({"us": us}))
 """
 
 
 def time_setup(src: Path, number: int) -> dict:
-    """One fresh process's microseconds per generator() call, per path,
-    with the package imported from src."""
+    """One fresh process's microseconds per generator() call, with the
+    package imported from src."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", SNIPPET, str(number)], env=env,
                           check=True, capture_output=True, text=True)

@@ -147,13 +147,13 @@ class RowSampler:
 
     Row j's plan is drawn on streams[j] alone, so its values do not
     depend on how many rows run beside it.  Plans do not depend on the
-    query point, so they are drawn ahead through noise.draw, one
-    generator setup per stream, in chunks into one reused step-major
-    buffer of shape (chunk, n, dim) for noise vectors, or (chunk, n) for
-    component indices, holding at most PLAN_VALUES values (one step at
-    least).  Each stream keeps its own generator between chunks, so the
-    values are bit-identical to drawing all `count` steps at once, and
-    the last chunk draws exactly the remainder.  sample_rows(i, X)
+    query point, so they are drawn ahead through noise.draw in chunks
+    into one reused step-major buffer of shape (chunk, n, dim) for noise
+    vectors, or (chunk, n) for component indices, holding at most
+    PLAN_VALUES values (one step at least).  Each stream holds its own
+    generator, set up once and kept between chunks, so the values are
+    bit-identical to drawing all `count` steps at once, and the last
+    chunk draws exactly the remainder.  sample_rows(i, X)
     returns the i-th sample of every row, evaluated row-wise at X, and
     must be called with i = 0, 1, 2, ...; chunks are drawn on the calling
     thread.  An additive problem without grad_rows is evaluated by a
@@ -161,7 +161,7 @@ class RowSampler:
     """
 
     __slots__ = ("_grad_rows", "_component_rows", "_noise", "_draw", "_dim",
-                 "_count", "_streams", "_gens", "_start", "_stop")
+                 "_count", "_gens", "_start", "_stop")
 
     def __init__(self, problem: CompositeProblem, noise, count: int, streams):
         if count < 1:
@@ -176,10 +176,7 @@ class RowSampler:
         self._noise = np.empty((chunk, n) + row, dtype=np.int64 if finite else float)
         self._draw, self._dim = noise.draw, dim
         self._count = count
-        self._streams = streams
-        # A one-chunk plan draws on the cheap thread-shared generator;
-        # longer plans hold an independent generator per stream.
-        self._gens = None if chunk == count else [s.generator(shared=False) for s in streams]
+        self._gens = [s.generator() for s in streams]
         self._start = self._stop = 0
         self._advance(0)
 
@@ -192,8 +189,8 @@ class RowSampler:
             )
         m = min(len(self._noise), self._count - i)
         out = self._noise[:m]
-        for j, s in enumerate(self._streams):
-            out[:, j] = self._draw(s.generator() if self._gens is None else self._gens[j], m, self._dim)
+        for j, gen in enumerate(self._gens):
+            out[:, j] = self._draw(gen, m, self._dim)
         self._start, self._stop = i, i + m
 
     def sample_rows(self, i: int, X: np.ndarray) -> np.ndarray:

@@ -106,7 +106,7 @@ def rge(
         raise DomainError("sampling point lies outside dom h")
     sums = np.zeros(n * problem.dim)
     chunk = max(1, problems.PLAN_VALUES // sums.size)
-    gen = stream.generator()  # shared: nothing else draws on it until rge returns
+    gen = stream.generator()
     for start in range(0, q, chunk):
         steps = draw_gradients(problem, noise, x, n * min(chunk, q - start), gen).reshape(-1, sums.size)
         steps[0] += sums  # the running sums, carried in as the first row

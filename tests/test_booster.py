@@ -28,7 +28,7 @@ def test_q_floor_frozen():
 
 
 def test_pb_replay_bitwise(ball_problem):
-    gen = RngStream(55).child("pts").generator(shared=False)
+    gen = RngStream(55).child("pts").generator()
     pts = 0.05 * gen.standard_normal((9, ball_problem.dim))
     Z, W = rows_at(pts)
     noise = NoiseModel(family="student_t", sigma=1.0, nu=3.0)
@@ -51,7 +51,7 @@ def test_pb_validation(ball_problem):
 
 
 def test_selected_rows_are_copies(ball_problem):
-    gen = RngStream(57).child("pts").generator(shared=False)
+    gen = RngStream(57).child("pts").generator()
     Z = 0.05 * gen.standard_normal((5, ball_problem.dim))
     W = 0.05 * gen.standard_normal((5, ball_problem.dim))
     cfg = PbConfig(q=2, lam=3.0, z_bar=ball_problem.h.interior_point(ball_problem.dim))

@@ -105,7 +105,7 @@ def test_component_oracles_match_fancy_index_expressions():
     oracle = p.meta["oracle"]
     env = inspect.getclosurevars(oracle.component_grad).nonlocals
     A, y, ridge = env["A"], env["y"], env["ridge"]
-    gen = RngStream(40).generator(shared=False)
+    gen = RngStream(40).generator()
     for count in (1, 2, 7, 3000):
         idx = gen.integers(0, 200, size=count)
         x = gen.uniform(-1.0, 1.0, size=8)
@@ -127,7 +127,7 @@ def test_component_table_matches_full_pool(count):
     # calls of N or more rows read the per-point table, shorter ones
     # gather; every row is the same bits either way, built or reused
     oracle, _ = _ridge_oracle()
-    gen = RngStream(41).child("table", count).generator(shared=False)
+    gen = RngStream(41).child("table", count).generator()
     for _ in range(3):
         x = gen.uniform(-1.0, 1.0, size=8)
         idx = gen.integers(0, 200, size=count)
@@ -143,7 +143,7 @@ def test_component_table_does_not_leak_into_single_rows():
     # table build, gives the BLAS formula the SGD path has always used
     oracle, env = _ridge_oracle()
     A, y, ridge = env["A"], env["y"], env["ridge"]
-    gen = RngStream(42).generator(shared=False)
+    gen = RngStream(42).generator()
     x0 = gen.uniform(-1.0, 1.0, size=8)
     table = oracle.component_grad(x0, np.arange(200))
     x = x0.copy()
@@ -160,7 +160,7 @@ def test_component_table_is_per_thread():
     # two threads alternating between two points read the same bits as
     # one thread does
     oracle, _ = _ridge_oracle()
-    gen = RngStream(43).generator(shared=False)
+    gen = RngStream(43).generator()
     points = gen.uniform(-1.0, 1.0, size=(2, 8))
     idx = gen.integers(0, 200, size=(2, 3000))
     want = [oracle.component_grad(points[k], idx[k]) for k in range(2)]

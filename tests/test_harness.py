@@ -116,7 +116,7 @@ def test_wilson_interval_coverage():
     # planted Bernoulli(r) through the aggregation arithmetic: the
     # interval contains r in >= 93 of 100 meta-repetitions
     r = 0.07
-    gen = RngStream(81).child("wilson").generator(shared=False)
+    gen = RngStream(81).child("wilson").generator()
     covered = 0
     for _ in range(100):
         fails = int(np.sum(gen.random(400) < r))

@@ -7,7 +7,7 @@ from sppm.rng import RngStream
 
 
 def gen(label="noise"):
-    return RngStream(41).child(label).generator(shared=False)
+    return RngStream(41).child(label).generator()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

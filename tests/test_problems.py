@@ -103,7 +103,7 @@ def test_row_sampler_matches_per_candidate(ball_problem, finite_sum_problem, kin
     streams = [RngStream(3).child(f"cand-{kind}", j) for j in range(5)]
     rows = RowSampler(problem, noise, 7, streams)
     singles = [GradientSampler(problem, noise, 7, s) for s in streams]
-    gen = RngStream(3).child(f"x-{kind}").generator(shared=False)
+    gen = RngStream(3).child(f"x-{kind}").generator()
     for i in range(7):
         X = 0.05 * gen.standard_normal((5, problem.dim))
         got = rows.sample_rows(i, X)
@@ -133,7 +133,7 @@ def test_chunked_plans_match_one_shot_plans(monkeypatch, ball_problem, finite_su
     rows = RowSampler(problem, noise, count, streams)
     singles = [GradientSampler(problem, noise, count, s) for s in streams]
     samplers = [rows] + singles
-    gen = RngStream(21).child("x").generator(shared=False)
+    gen = RngStream(21).child("x").generator()
     for i in range(count):
         X = 0.2 * gen.standard_normal((n, d))
         got = rows.sample_rows(i, X)
@@ -191,7 +191,7 @@ def test_minimize_phi_first_order_optimality(ball_problem):
 
 def test_grad_rows_matches_grad(ball_problem, finite_sum_problem):
     for p in (ball_problem, finite_sum_problem):
-        gen = RngStream(47).child("rows" + p.kind).generator(shared=False)
+        gen = RngStream(47).child("rows" + p.kind).generator()
         X = 0.2 * gen.standard_normal((6, p.dim))
         G = p.grad_rows(X)
         for j in range(6):

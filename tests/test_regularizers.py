@@ -60,7 +60,7 @@ def test_zero_prox_is_identity():
 @pytest.mark.parametrize("h", ALL, ids=lambda h: type(h).__name__)
 def test_prox_minimizes_objective(h):
     # prox(y, t) minimizes h(x) + ||x-y||^2/(2t): no random probe beats it.
-    gen = RngStream(31).child("probe").generator(shared=False)
+    gen = RngStream(31).child("probe").generator()
     for _ in range(40):
         y = 2.0 * gen.standard_normal(4)
         t = float(10.0 ** gen.uniform(-1.0, 0.7))
@@ -77,7 +77,7 @@ def test_prox_minimizes_objective(h):
 
 @pytest.mark.parametrize("h", ALL, ids=lambda h: type(h).__name__)
 def test_prox_rows_matches_prox(h):
-    gen = RngStream(32).child("rows").generator(shared=False)
+    gen = RngStream(32).child("rows").generator()
     Y = 3.0 * gen.standard_normal((7, 4))
     t = 0.6
     batch = h.prox_rows(Y, t)
@@ -90,7 +90,7 @@ def test_value_and_contains_rows_match_one_row_calls(h):
     # on an (m, d) matrix, value and contains give the m one-row results
     # bit for bit: inside, on the boundary (prox outputs), outside and
     # non-finite rows alike
-    gen = RngStream(34).child("vrows").generator(shared=False)
+    gen = RngStream(34).child("vrows").generator()
     X = np.concatenate([
         0.3 * gen.standard_normal((9, 4)),
         h.prox_rows(3.0 * gen.standard_normal((9, 4)), 0.5),

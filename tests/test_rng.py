@@ -10,7 +10,7 @@ from sppm.rng import SEED_RANGE, RngStream
 
 
 def draws(stream, n=8):
-    return stream.generator(shared=False).standard_normal(n)
+    return stream.generator().standard_normal(n)
 
 
 def test_same_path_same_bits():
@@ -44,22 +44,25 @@ def test_token_stable_and_distinct():
     assert s.token() != RngStream(42).child("trial", 6).token()
 
 
-def test_shared_generator_matches_fresh():
-    s = RngStream(13).child("hot", 2)
-    assert np.array_equal(s.generator().standard_normal(16),
-                          s.generator(shared=False).standard_normal(16))
-
-
-def test_shared_generator_reset_between_uses():
+def test_generator_restarts_each_call():
     s = RngStream(13).child("hot", 3)
     first = s.generator().standard_normal(4)
     second = s.generator().standard_normal(4)
     assert np.array_equal(first, second)
 
 
+def test_held_generator_survives_another_streams_setup():
+    a, b = RngStream(13).child("hot", 5), RngStream(13).child("cold", 5)
+    held = a.generator()
+    head = held.standard_normal(3)
+    b.generator().standard_normal(3)
+    tail = held.standard_normal(5)
+    assert np.array_equal(np.concatenate([head, tail]), draws(a))
+
+
 # Stream layout v2: SFC64 whose state words are the 24-byte path digest.
 # Any change to the layout moves every drawn value, so the first raw
-# words of two paths are pinned, on both generator paths.
+# words of two paths are pinned.
 FIRST_WORDS = {
     RngStream(0): ["0x2d4743129a5acb8b", "0x2a36f11e65be87e1", "0x21c1e5653f2376be"],
     RngStream(2024).child("trial", 7).child("pss", 50):
@@ -67,21 +70,10 @@ FIRST_WORDS = {
 }
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_first_draws_pinned(shared):
+def test_first_draws_pinned():
     for stream, words in FIRST_WORDS.items():
-        raw = stream.generator(shared=shared).bit_generator.random_raw(3)
+        raw = stream.generator().bit_generator.random_raw(3)
         assert [hex(w) for w in raw] == words
-
-
-def test_shared_reset_drops_a_buffered_uint32():
-    # an odd count of 32-bit draws leaves half a word in SFC64's buffer;
-    # the next reset must not hand it out
-    s = RngStream(13).child("hot", 4)
-    s.generator().integers(0, 2**32, size=3, dtype=np.uint32)
-    a = s.generator().integers(0, 2**32, size=5, dtype=np.uint32)
-    b = s.generator(shared=False).integers(0, 2**32, size=5, dtype=np.uint32)
-    assert np.array_equal(a, b)
 
 
 def test_tokens_unchanged_by_the_generator():
@@ -92,13 +84,23 @@ def test_tokens_unchanged_by_the_generator():
     assert RngStream(-(2**63)).child("sgd-trial", 2**63 - 1).token() == 3488541806103820645
 
 
+def interleaved(pair):
+    # two streams held at once, drawn from in turn
+    gens = [s.generator() for s in pair]
+    out = [[], []]
+    for _ in range(4):
+        for j, gen in enumerate(gens):
+            out[j].append(gen.standard_normal(2))
+    return [np.concatenate(o) for o in out]
+
+
 def test_threaded_draws_match_sequential():
-    streams = [RngStream(99).child("t", i) for i in range(8)]
-    seq = [draws(s) for s in streams]
+    pairs = [(RngStream(99).child("t", i), RngStream(99).child("u", i)) for i in range(8)]
+    seq = [[draws(s) for s in pair] for pair in pairs]
     with ThreadPoolExecutor(max_workers=4) as ex:
-        par = list(ex.map(draws, streams))
+        par = list(ex.map(interleaved, pairs))
     for a, b in zip(seq, par):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @given(st.integers(0, 2**31), st.text("abcdef", min_size=1, max_size=8),

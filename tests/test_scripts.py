@@ -124,11 +124,11 @@ def test_bench_pairs_metric_is_unresolved_when_base_spread_exceeds_bound():
     assert [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]][:2] == ["s_per_trial", "samples_per_s"]
 
 
-def test_stream_setup_bench_times_both_generator_paths(monkeypatch):
+def test_stream_setup_bench_times_generator_setup(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     spec = importlib.util.spec_from_file_location("stream_setup_bench", ROOT / "scripts" / "stream_setup_bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     timing = bench.time_setup(ROOT / "src", number=2)
-    assert set(timing) == {"shared_us", "unshared_us"}
+    assert set(timing) == {"us"}
     assert all(0.0 < us < 1e4 for us in timing.values())

@@ -27,14 +27,14 @@ from sppm.rng import RngStream
 
 @given(st.integers(1, 60))
 def test_sts_always_more_than_two_thirds(n):
-    gen = RngStream(22).child("prop", n).generator(shared=False)
+    gen = RngStream(22).child("prop", n).generator()
     idx = sts(gen.standard_normal((n, 2)))
     assert 3 * len(idx) > 2 * n
     assert np.all(np.diff(idx) > 0)
 
 
 def test_euclidean_rows_match_norm_pairs():
-    gen = RngStream(23).child("pair").generator(shared=False)
+    gen = RngStream(23).child("pair").generator()
     pts = gen.standard_normal((12, 4))
     for lo, hi in ((0, 12), (3, 7), (11, 12)):
         D = euclidean_rows(pts, lo, hi)
@@ -63,7 +63,7 @@ def test_dh_potentials_hand_formula():
 def test_euclidean_rows_symmetric_exact_and_block_free():
     # the coordinate loop gives a matrix symmetric bit for bit, exactly 0
     # between duplicate rows, and rows that do not depend on the block
-    gen = RngStream(24).child("exact").generator(shared=False)
+    gen = RngStream(24).child("exact").generator()
     distinct = gen.standard_normal((40, 8)) * 10.0 ** gen.integers(-3, 4, size=(40, 1))
     P = distinct[gen.integers(0, 40, size=150)]
     full = euclidean_rows(P, 0, 150)
@@ -103,7 +103,7 @@ def _full_matrix_sts(dist):
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 288])
 def test_blocking_does_not_change_selection(n):
-    gen = RngStream(28).child("blocks", n).generator(shared=False)
+    gen = RngStream(28).child("blocks", n).generator()
     distinct = gen.standard_normal((max(1, n // 3), 3))
     cases = [
         gen.standard_normal((n, 3)),
@@ -121,7 +121,7 @@ def test_blocking_does_not_change_selection(n):
 @pytest.mark.parametrize("rows, shape", [(euclidean_rows, (4096, 2)), (gap_rows, (4096,))])
 def test_sts_memory_is_linear_in_n(rows, shape):
     # the full 4096 x 4096 distance matrix alone would be 128 MiB
-    points = RngStream(29).child("mem").generator(shared=False).standard_normal(shape)
+    points = RngStream(29).child("mem").generator().standard_normal(shape)
     tracemalloc.start()
     try:
         sts(points, rows)
@@ -288,7 +288,7 @@ def test_rge_validation(ball_problem):
 def test_rge_rejects_far_outlier_mean(ball_problem):
     # plant most means near the gradient, a minority far away: the
     # selected mean is never the far one
-    gen = RngStream(27).child("plant").generator(shared=False)
+    gen = RngStream(27).child("plant").generator()
     g = np.zeros(4)
     for _ in range(20):
         n = 15
